@@ -1,0 +1,57 @@
+"""Golden CSV digests for the three sweep modes of the CLI.
+
+Each case runs `dmmsim.cli.main` on a copy of the desk-scale
+configuration with a short stopping rule and two grid points (one in
+the waterfall, one error-free), and compares the SHA-256 of the CSV it
+writes with a frozen digest. Every refactor of the frame pipeline must
+reproduce these bytes for any worker count.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from dmmsim.cli import main
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_scale.json"
+GRID = "--grid=-1.2,0.5"
+
+# (extra CLI arguments, CSV file written, SHA-256 of its bytes)
+GOLDEN = {
+    "ber-sweep": (
+        ["ber-sweep"],
+        "dmm_sweep.csv",
+        "fc55aa11dffa67e28798f23de323fe1190a0bc6360e95db8b81c6314e338970e",
+    ),
+    "bpsk-baseline": (
+        ["ber-sweep", "--baseline", "bpsk"],
+        "bpsk_baseline.csv",
+        "f7db2b82b003a5a390796ad1c1aa6024498ead4f6ac2eedb3f6f4e0604e2e86b",
+    ),
+    "genie-compare": (
+        ["genie-compare"],
+        "genie_compare.csv",
+        "c3ce826a6561a18e1ea186b5f2511ff01e12dd52d423fef00b217de585ad2fa9",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def short_config(tmp_path_factory):
+    data = json.loads(DESK_CONFIG.read_text())
+    data["stop"] = {"min_frame_errors": 6, "max_frames": 32}
+    path = tmp_path_factory.mktemp("golden") / "desk_short.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_csv_digest(mode, workers, short_config, tmp_path):
+    args, csv_name, digest = GOLDEN[mode]
+    out = tmp_path / "out"
+    argv = [args[0], str(short_config), *args[1:], GRID, "--workers", str(workers), "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest
