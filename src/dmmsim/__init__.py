@@ -20,7 +20,6 @@ from .ldpc import (
     CodeConstructionError,
     LdpcCode,
     RepetitionCode,
-    decode_bp,
     decode_bp_full,
     derive_generator,
     encode,
@@ -32,10 +31,7 @@ from .modem import (
     demap_inner_llr,
     demap_outer_hard,
     demap_outer_llr,
-    derotate,
     map_bpsk,
-    map_dmm,
-    rotate,
     rotate_by_bits,
 )
 from .simkit import (
@@ -69,7 +65,6 @@ __all__ = [
     "CodeConstructionError",
     "LdpcCode",
     "RepetitionCode",
-    "decode_bp",
     "decode_bp_full",
     "derive_generator",
     "encode",
@@ -79,10 +74,7 @@ __all__ = [
     "demap_inner_llr",
     "demap_outer_hard",
     "demap_outer_llr",
-    "derotate",
     "map_bpsk",
-    "map_dmm",
-    "rotate",
     "rotate_by_bits",
     "ConfigError",
     "FrameTrace",

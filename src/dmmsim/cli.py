@@ -12,6 +12,7 @@ dB values are accepted and emitted with 4 decimal places.
 
 import argparse
 import dataclasses
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -32,6 +33,9 @@ from .simkit import (
 
 PROG = "dmmsim"
 
+# Largest number of points a start:stop:step grid may expand to.
+MAX_GRID_POINTS = 10_000
+
 
 def parse_grid(text):
     """Grid of Es/N0 values in dB: 'start:stop:step' (inclusive) or a
@@ -39,25 +43,30 @@ def parse_grid(text):
     text = text.strip()
     if not text:
         raise ConfigError("grid is empty")
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [x for x in text.split(",") if x.strip()]
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
-            start, stop, step = (float(x) for x in parts)
-            if step <= 0:
-                raise ConfigError("grid step must be positive")
-            if stop < start:
-                raise ConfigError("grid stop must be >= start")
-            count = int(round((stop - start) / step))
-            vals = [start + i * step for i in range(count + 1)]
-            vals = [v for v in vals if v <= stop + 1e-9]
-        else:
-            vals = [float(x) for x in text.split(",") if x.strip()]
+        vals = [float(x) for x in parts]
     except ValueError:
         raise ConfigError(f"grid contains a non-numeric value: {text!r}")
+    if is_range:
+        if len(vals) != 3:
+            raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
+        start, stop, step = vals
+        if step <= 0:
+            raise ConfigError("grid step must be positive")
+        if stop < start:
+            raise ConfigError("grid stop must be >= start")
+        points = (stop - start) / step + 1
+        if not points <= MAX_GRID_POINTS:  # also rejects inf and nan
+            raise ConfigError(f"grid {text!r} spans about {points:.3g} points, more than {MAX_GRID_POINTS}")
+        count = int(round((stop - start) / step))
+        vals = [start + i * step for i in range(count + 1)]
+        vals = [v for v in vals if v <= stop + 1e-9]
     if not vals:
         raise ConfigError(f"grid {text!r} resolves to no points")
+    if any(math.isnan(v) or v == -math.inf for v in vals):
+        raise ConfigError(f"grid {text!r} holds NaN or -inf")
     return tuple(round(v, 4) for v in vals)
 
 

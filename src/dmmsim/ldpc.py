@@ -161,7 +161,10 @@ class LdpcCode:
         cross-checked against the column lists.
         """
         lines = [ln.split() for ln in Path(path).read_text().splitlines()]
-        toks = [list(map(int, ln)) for ln in lines if ln]
+        try:
+            toks = [list(map(int, ln)) for ln in lines if ln]
+        except ValueError as exc:
+            raise CodeConstructionError(f"non-integer token in alist {path}") from exc
         try:
             n, m = toks[0]
             dv_max, dc_max = toks[1]
@@ -216,6 +219,8 @@ class LdpcCode:
         """
         if n_code < 2 or row_degree < 1 or col_degree < 1:
             raise CodeConstructionError("degrees and length must be positive")
+        if not 0 <= seed < 2**64:
+            raise CodeConstructionError("seed must lie in [0, 2**64)")
         if (n_code * col_degree) % row_degree != 0:
             raise CodeConstructionError(
                 f"n_code*col_degree={n_code * col_degree} not divisible by row_degree={row_degree}"
@@ -272,17 +277,6 @@ def encode(code, info):
         return np.zeros(code.n_code, dtype=np.uint8)
     packed = np.bitwise_xor.reduce(code._g_packed[sel], axis=0)
     return np.unpackbits(packed)[: code.n_code]
-
-
-def decode_bp(code, llr, max_iter):
-    """Sum-product decoding; returns (info_bits, iterations_used, converged).
-
-    Early exit as soon as the hard decision satisfies every check with
-    no posterior exactly at zero. Non-convergence is reported via the
-    flag, never raised.
-    """
-    hard, _post, iters, converged = decode_bp_full(code, llr, max_iter)
-    return hard[code.info_positions], iters, converged
 
 
 def decode_bp_full(code, llr, max_iter, early_exit=True):

@@ -6,19 +6,13 @@ broadcast over leading axes, so a frame is an (n, 2) array. The inner
 bit selects the BPSK point on the real axis; the outer bit selects a
 rotation of 0 or a quarter turn, which lands the symbol on one of four
 points. The two admissible rotations are exact component swaps and
-negations, never sin/cos, so rotate/derotate round trips are bit-exact.
+negations, never sin/cos, so rotation round trips are bit-exact.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-QUARTER_TURN = math.pi / 2
-
-# Outer bit carried by each constellation point, in point order s1..s4.
-_OUTER_BITS = (0, 1, 0, 1)
-
 
 def map_bpsk(v1, es):
     """BPSK point for the inner bit: 0 -> (+sqrt(es), 0), 1 -> (-sqrt(es), 0)."""
@@ -31,44 +25,13 @@ def map_bpsk(v1, es):
     return out
 
 
-def beta_from_bit(v2):
-    """Rotation angle for an outer bit: 0 -> 0, 1 -> pi/2."""
-    return QUARTER_TURN if (int(v2) & 1) else 0.0
-
-
-def bit_from_beta(beta):
-    if beta == 0.0:
-        return 0
-    if beta == QUARTER_TURN:
-        return 1
-    raise ValueError("rotation angle must be 0 or pi/2")
-
-
-def rotate(z, beta, inverse=False):
-    """Rotate a symbol by an admissible angle (0 or pi/2), exactly.
+def rotate_by_bits(z, bits, inverse=False):
+    """Per-symbol rotation selected by a bit array (0: none, 1: quarter turn).
 
     A quarter turn maps (a, b) to (-b, a); the inverse maps (a, b) to
-    (b, -a). Zero is the identity. Amplitude is preserved exactly and
-    rotate followed by its inverse returns the input bit-for-bit.
+    (b, -a). Amplitude is preserved exactly and rotating forward then
+    back returns the input bit-for-bit.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if beta == 0.0:
-        return z.copy()
-    if beta != QUARTER_TURN:
-        raise ValueError("rotation angle must be 0 or pi/2")
-    a, b = z[..., 0], z[..., 1]
-    if inverse:
-        return np.stack([b, -a], axis=-1)
-    return np.stack([-b, a], axis=-1)
-
-
-def derotate(y, beta_hat):
-    """Inverse rotation by the estimated angle."""
-    return rotate(y, beta_hat, inverse=True)
-
-
-def rotate_by_bits(z, bits, inverse=False):
-    """Per-symbol rotation selected by a bit array (0: none, 1: quarter turn)."""
     z = np.asarray(z, dtype=np.float64)
     b = np.asarray(bits).astype(bool)
     a, bb = z[..., 0], z[..., 1]
@@ -81,16 +44,11 @@ def rotate_by_bits(z, bits, inverse=False):
     return np.stack([re, im], axis=-1)
 
 
-def map_dmm(v1, v2, es):
-    """Map an (inner, outer) bit pair onto one of the four points
-    s1=(+sqrt(es),0), s2=(0,+sqrt(es)), s3=(-sqrt(es),0), s4=(0,-sqrt(es)):
-    the BPSK point for v1, rotated a quarter turn when v2 is 1."""
-    return rotate_by_bits(map_bpsk(v1, es), v2)
-
-
 @dataclass(frozen=True)
 class Constellation:
-    """The four rotated-BPSK points at symbol energy es."""
+    """The four rotated-BPSK points at symbol energy es, in order
+    s1=(+a,0), s2=(0,+a), s3=(-a,0), s4=(0,-a) with a = sqrt(es): point
+    2*v1 + v2 carries inner bit v1 and outer bit v2."""
 
     es: float
 

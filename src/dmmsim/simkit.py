@@ -23,6 +23,7 @@ import json
 import math
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,9 +66,34 @@ class ConfigError(ValueError):
     """A configuration document or SystemConfig field is invalid."""
 
 
+def _is_int(v):
+    # bool is a subclass of int, but a JSON true is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+
+# (field, its name in a config file, requirement, test) for each scalar field
+_FIELD_RULES = (
+    ("es", "es", "a positive finite number", lambda v: _is_real(v) and 0 < v < math.inf),
+    ("max_iter", "max_iter", *_COUNT),
+    ("min_frame_errors", "stop.min_frame_errors", *_COUNT),
+    ("max_frames", "stop.max_frames", *_COUNT),
+    ("batch_frames", "batch_frames", *_COUNT),
+    ("seed", "seed", "an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64),
+    ("genie_beta", "genie_beta", "a boolean", lambda v: isinstance(v, bool)),
+    ("outer_rebuild", "outer_rebuild", "'reencode' or 'direct'", lambda v: v in ("reencode", "direct")),
+)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full experiment description; immutable and shareable across workers."""
+    """Full experiment description; immutable and shareable across workers.
+    Every field is checked here; errors name it as a config file does."""
 
     inner: LdpcCode
     outer: RepetitionCode
@@ -87,19 +113,15 @@ class SystemConfig:
                 f"inner code length {self.inner.n_code} != outer encoded length "
                 f"{self.outer.n_code}; one bit of each stream rides on every symbol"
             )
-        if self.es <= 0:
-            raise ConfigError("es must be positive")
+        for name, label, requirement, ok in _FIELD_RULES:
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"{label} must be {requirement}")
         if not self.esn0_grid_db:
             raise ConfigError("esn0_grid_db must be non-empty")
         for v in self.esn0_grid_db:
-            if math.isnan(v) or v == -math.inf:
-                raise ConfigError(f"invalid grid point {v}")
-        for name in ("max_iter", "min_frame_errors", "max_frames", "batch_frames"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.outer_rebuild not in ("reencode", "direct"):
-            raise ConfigError("outer_rebuild must be 'reencode' or 'direct'")
-        SeededRng(self.seed)  # range check
+            if not _is_real(v) or math.isnan(v) or v == -math.inf:
+                raise ConfigError(f"esn0_grid_db entry {v!r} must be a number, not NaN or -inf")
+        object.__setattr__(self, "es", float(self.es))
         object.__setattr__(self, "esn0_grid_db", tuple(float(v) for v in self.esn0_grid_db))
 
     @property
@@ -117,39 +139,27 @@ class SystemConfig:
 
 @dataclass
 class FrameTrace:
-    """Every stage of one frame, as produced at the transmitter and receiver."""
+    """Every stage of one frame, as produced at the transmitter and receiver.
+    The outer fields are None on a baseline frame, which has no outer stream."""
 
     frame_index: int
     esn0_db: float
     c1: np.ndarray
     v1: np.ndarray
-    c2: np.ndarray
-    v2: np.ndarray
     symbols: np.ndarray
     received: np.ndarray
-    llr_outer: np.ndarray
-    c2_hat: np.ndarray
-    v2_hat: np.ndarray
-    beta_hat_bits: np.ndarray
-    llr_inner: np.ndarray
-    c1_hat: np.ndarray
-    iters_outer: int
-    converged_outer: bool
-    iters_inner: int
-    converged_inner: bool
-
-
-@dataclass
-class BaselineTrace:
-    frame_index: int
-    esn0_db: float
-    c1: np.ndarray
-    v1: np.ndarray
-    received: np.ndarray
     llr_inner: np.ndarray
     c1_hat: np.ndarray
     iters_inner: int
     converged_inner: bool
+    c2: np.ndarray = None
+    v2: np.ndarray = None
+    llr_outer: np.ndarray = None
+    c2_hat: np.ndarray = None
+    v2_hat: np.ndarray = None
+    beta_hat_bits: np.ndarray = None
+    iters_outer: int = None
+    converged_outer: bool = None
 
 
 def _resolve_esn0(cfg, esn0_db):
@@ -160,21 +170,29 @@ def _resolve_esn0(cfg, esn0_db):
     return cfg.esn0_grid_db[0]
 
 
-def _front_end(cfg, frame_index, esn0_db):
+def _frame_bits(cfg, frame_index, domain, k):
+    return frame_stream(cfg.seed, frame_index, domain).generator().integers(0, 2, k, dtype=np.uint8)
+
+
+def _bpsk_front_end(cfg, frame_index, esn0_db):
+    """A frame's inner bits, codeword, BPSK symbols and received sequence;
+    the one place where its inner bits and noise are drawn."""
     params = ChannelParams.from_esn0_db(cfg.es, esn0_db)
-    c1 = frame_stream(cfg.seed, frame_index, DOMAIN_INNER_BITS).generator().integers(
-        0, 2, cfg.inner.k_info, dtype=np.uint8
-    )
-    c2 = frame_stream(cfg.seed, frame_index, DOMAIN_OUTER_BITS).generator().integers(
-        0, 2, cfg.outer.k_info, dtype=np.uint8
-    )
+    c1 = _frame_bits(cfg, frame_index, DOMAIN_INNER_BITS, cfg.inner.k_info)
     v1 = encode(cfg.inner, c1)
-    v2 = rep_encode(cfg.outer, c2)
     x1 = map_bpsk(v1, cfg.es)
-    y_pre = add_noise(x1, params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
-    y = rotate_by_bits(y_pre, v2)
+    y1 = add_noise(x1, params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
+    return params, c1, v1, x1, y1
+
+
+def _dmm_front_end(cfg, frame_index, esn0_db):
+    """The BPSK frame with symbols and observation rotated by the outer code bits."""
+    params, c1, v1, x1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
+    c2 = _frame_bits(cfg, frame_index, DOMAIN_OUTER_BITS, cfg.outer.k_info)
+    v2 = rep_encode(cfg.outer, c2)
+    y = rotate_by_bits(y1, v2)
     symbols = rotate_by_bits(x1, v2)
-    return params, c1, c2, v1, v2, x1, symbols, y
+    return params, c1, v1, c2, v2, symbols, y
 
 
 def _outer_stage(cfg, y, params):
@@ -194,8 +212,8 @@ def _outer_stage(cfg, y, params):
     return llr_outer, c2_hat, v2_hat, iters, conv
 
 
-def _inner_stage(cfg, y, beta_bits, params):
-    y1 = rotate_by_bits(y, beta_bits, inverse=True)
+def _inner_receive(cfg, y1, params):
+    """Demap and decode the inner stream of an already derotated sequence."""
     if params.sigma2_dim > 0:
         llr_inner = demap_inner_llr(y1, cfg.es, params.sigma2_dim)
     else:
@@ -212,29 +230,30 @@ def run_frame(cfg, frame_index, esn0_db=None):
     true per-symbol rotation bits instead of the rebuilt ones.
     """
     esn0_db = _resolve_esn0(cfg, esn0_db)
-    params, c1, c2, v1, v2, _x1, symbols, y = _front_end(cfg, frame_index, esn0_db)
+    params, c1, v1, c2, v2, symbols, y = _dmm_front_end(cfg, frame_index, esn0_db)
     llr_outer, c2_hat, v2_hat, it2, conv2 = _outer_stage(cfg, y, params)
     beta_bits = v2 if cfg.genie_beta else v2_hat
-    llr_inner, c1_hat, it1, conv1 = _inner_stage(cfg, y, beta_bits, params)
+    y1 = rotate_by_bits(y, beta_bits, inverse=True)
+    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y1, params)
     return FrameTrace(
         frame_index=frame_index,
         esn0_db=esn0_db,
         c1=c1,
         v1=v1,
-        c2=c2,
-        v2=v2,
         symbols=symbols,
         received=y,
+        llr_inner=llr_inner,
+        c1_hat=c1_hat,
+        iters_inner=it1,
+        converged_inner=conv1,
+        c2=c2,
+        v2=v2,
         llr_outer=llr_outer,
         c2_hat=c2_hat,
         v2_hat=v2_hat,
         beta_hat_bits=beta_bits,
-        llr_inner=llr_inner,
-        c1_hat=c1_hat,
         iters_outer=it2,
         converged_outer=conv2,
-        iters_inner=it1,
-        converged_inner=conv1,
     )
 
 
@@ -243,28 +262,19 @@ def run_baseline_frame(cfg, frame_index, esn0_db=None):
     noise streams as run_frame; the received sequence equals the genie
     branch's derotated sequence bit-for-bit."""
     esn0_db = _resolve_esn0(cfg, esn0_db)
-    params = ChannelParams.from_esn0_db(cfg.es, esn0_db)
-    c1 = frame_stream(cfg.seed, frame_index, DOMAIN_INNER_BITS).generator().integers(
-        0, 2, cfg.inner.k_info, dtype=np.uint8
-    )
-    v1 = encode(cfg.inner, c1)
-    x1 = map_bpsk(v1, cfg.es)
-    y = add_noise(x1, params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
-    if params.sigma2_dim > 0:
-        llr_inner = demap_inner_llr(y, cfg.es, params.sigma2_dim)
-    else:
-        llr_inner = np.sign(y[..., 0]) * LLR_CAP
-    hard, _post, iters, conv = decode_bp_full(cfg.inner, llr_inner, cfg.max_iter)
-    return BaselineTrace(
+    params, c1, v1, x1, y = _bpsk_front_end(cfg, frame_index, esn0_db)
+    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y, params)
+    return FrameTrace(
         frame_index=frame_index,
         esn0_db=esn0_db,
         c1=c1,
         v1=v1,
+        symbols=x1,
         received=y,
         llr_inner=llr_inner,
-        c1_hat=hard[cfg.inner.info_positions],
-        iters_inner=iters,
-        converged_inner=conv,
+        c1_hat=c1_hat,
+        iters_inner=it1,
+        converged_inner=conv1,
     )
 
 
@@ -281,6 +291,21 @@ class _Counters:
     frame_errors: int = 0
     iters_inner_sum: int = 0
     iters_outer_sum: int = 0
+
+    def add_frame(self, c1, c1_hat, iters_inner, c2=None, c2_hat=None, iters_outer=None):
+        """Count one frame; the outer arguments are None when it has no outer stream."""
+        errs = int(np.count_nonzero(c1 != c1_hat))
+        self.frames += 1
+        self.errs_inner += errs
+        self.bits_inner += c1.size
+        self.iters_inner_sum += iters_inner
+        if c2 is not None:
+            errs_outer = int(np.count_nonzero(c2 != c2_hat))
+            self.errs_outer += errs_outer
+            self.bits_outer += c2.size
+            self.iters_outer_sum += iters_outer
+            errs += errs_outer
+        self.frame_errors += 1 if errs else 0
 
     def __iadd__(self, other):
         for f in self.__dataclass_fields__:
@@ -335,67 +360,31 @@ class GenieCompareResult:
     points: list
 
 
-def _count_dmm(counters, trace):
-    ei = int(np.count_nonzero(trace.c1 != trace.c1_hat))
-    eo = int(np.count_nonzero(trace.c2 != trace.c2_hat))
-    counters.frames += 1
-    counters.errs_inner += ei
-    counters.errs_outer += eo
-    counters.bits_inner += trace.c1.size
-    counters.bits_outer += trace.c2.size
-    counters.frame_errors += 1 if (ei + eo) else 0
-    counters.iters_inner_sum += trace.iters_inner
-    counters.iters_outer_sum += trace.iters_outer
-
-
 def _run_batch(cfg, esn0_db, kind, lo, hi):
-    if kind == "dmm":
-        c = _Counters()
-        for fi in range(lo, hi):
-            _count_dmm(c, run_frame(cfg, fi, esn0_db))
-        return c
-    if kind == "baseline":
-        c = _Counters()
-        for fi in range(lo, hi):
-            t = run_baseline_frame(cfg, fi, esn0_db)
-            ei = int(np.count_nonzero(t.c1 != t.c1_hat))
-            c.frames += 1
-            c.errs_inner += ei
-            c.bits_inner += t.c1.size
-            c.frame_errors += 1 if ei else 0
-            c.iters_inner_sum += t.iters_inner
-        return c
-    if kind == "pair":
-        affected = _Counters()
-        genie = _Counters()
-        for fi in range(lo, hi):
-            _pair_frame(cfg, fi, esn0_db, affected, genie)
-        return affected, genie
-    raise ValueError(f"unknown batch kind {kind!r}")
+    """Counters (primary, genie) of frames lo..hi-1; genie is empty unless kind is "pair"."""
+    primary, genie = _Counters(), _Counters()
+    for fi in range(lo, hi):
+        if kind == "pair":
+            _pair_frame(cfg, fi, esn0_db, primary, genie)
+        else:
+            t = run_frame(cfg, fi, esn0_db) if kind == "dmm" else run_baseline_frame(cfg, fi, esn0_db)
+            primary.add_frame(t.c1, t.c1_hat, t.iters_inner, t.c2, t.c2_hat, t.iters_outer)
+    return primary, genie
 
 
 def _pair_frame(cfg, frame_index, esn0_db, affected, genie):
     # One front end and one outer decode feed both derotation branches;
     # when the rebuilt rotation bits are exact the branches coincide and
     # the inner decode runs once.
-    params, c1, c2, _v1, v2, _x1, _symbols, y = _front_end(cfg, frame_index, esn0_db)
+    params, c1, _v1, c2, v2, _symbols, y = _dmm_front_end(cfg, frame_index, esn0_db)
     _llr_outer, c2_hat, v2_hat, it2, _conv2 = _outer_stage(cfg, y, params)
-    eo = int(np.count_nonzero(c2 != c2_hat))
-    _llr_a, c1_hat_a, it1_a, _conv_a = _inner_stage(cfg, y, v2_hat, params)
+    _llr, c1_hat_a, it1_a, _conv = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), params)
     if np.array_equal(v2_hat, v2):
         c1_hat_g, it1_g = c1_hat_a, it1_a
     else:
-        _llr_g, c1_hat_g, it1_g, _conv_g = _inner_stage(cfg, y, v2, params)
-    for counters, c1_hat, it1 in ((affected, c1_hat_a, it1_a), (genie, c1_hat_g, it1_g)):
-        ei = int(np.count_nonzero(c1 != c1_hat))
-        counters.frames += 1
-        counters.errs_inner += ei
-        counters.errs_outer += eo
-        counters.bits_inner += c1.size
-        counters.bits_outer += c2.size
-        counters.frame_errors += 1 if (ei + eo) else 0
-        counters.iters_inner_sum += it1
-        counters.iters_outer_sum += it2
+        _llr, c1_hat_g, it1_g, _conv = _inner_receive(cfg, rotate_by_bits(y, v2, inverse=True), params)
+    affected.add_frame(c1, c1_hat_a, it1_a, c2, c2_hat, it2)
+    genie.add_frame(c1, c1_hat_g, it1_g, c2, c2_hat, it2)
 
 
 _WORKER_CFG = None
@@ -407,8 +396,7 @@ def _pool_init(cfg):
 
 
 def _pool_batch(args):
-    esn0_db, kind, lo, hi = args
-    return _run_batch(_WORKER_CFG, esn0_db, kind, lo, hi)
+    return _run_batch(_WORKER_CFG, *args)
 
 
 def _stopped(cfg, counters):
@@ -425,8 +413,7 @@ def _run_point(cfg, esn0_db, kind, workers, pool):
     before each merge, so the counted frame set is identical for every
     worker count; surplus batches computed by idle workers are discarded.
     """
-    primary = _Counters()
-    secondary = _Counters() if kind == "pair" else None
+    primary, genie = _Counters(), _Counters()
     j = 0
     bf = cfg.batch_frames
     while not _stopped(cfg, primary):
@@ -442,20 +429,16 @@ def _run_point(cfg, esn0_db, kind, workers, pool):
             results = [_run_batch(cfg, *args) for args in window]
         else:
             results = list(pool.map(_pool_batch, window))
-        for res in results:
+        for batch_primary, batch_genie in results:
             if _stopped(cfg, primary):
                 break
-            if kind == "pair":
-                aff, gen = res
-                primary += aff
-                secondary += gen
-            else:
-                primary += res
+            primary += batch_primary
+            genie += batch_genie
         j += len(window)
-    return primary, secondary
+    return primary, genie
 
 
-def _make_point(cfg, esn0_db, eta, c):
+def _make_point(esn0_db, eta, c):
     def ratio(a, b):
         return a / b if b else 0.0
 
@@ -477,13 +460,19 @@ def _make_point(cfg, esn0_db, eta, c):
     )
 
 
-def _with_pool(cfg, workers, fn):
-    if workers <= 1:
-        return fn(None)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(cfg,)
-    ) as pool:
-        return fn(pool)
+def _grid(cfg, kind, workers, make):
+    """make(esn0_db, primary, genie) per grid point, sharing one pool when workers > 1."""
+    if workers > 1:
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,))
+    else:
+        executor = nullcontext()
+    with executor as pool:
+        return [make(esn0, *_run_point(cfg, esn0, kind, workers, pool)) for esn0 in cfg.esn0_grid_db]
+
+
+def _sweep(cfg, kind, eta, workers):
+    points = _grid(cfg, kind, workers, lambda esn0, c, _genie: _make_point(esn0, eta, c))
+    return SweepResult(mode=kind, eta=eta, points=points)
 
 
 def run_sweep(cfg, workers=1):
@@ -493,28 +482,12 @@ def run_sweep(cfg, workers=1):
     cfg.min_frame_errors frame errors on the combined stream or
     cfg.max_frames; zero-error points report their observed bit budget.
     """
-
-    def go(pool):
-        points = []
-        for esn0 in cfg.esn0_grid_db:
-            counters, _ = _run_point(cfg, esn0, "dmm", workers, pool)
-            points.append(_make_point(cfg, esn0, cfg.eta, counters))
-        return points
-
-    return SweepResult(mode="dmm", eta=cfg.eta, points=_with_pool(cfg, workers, go))
+    return _sweep(cfg, "dmm", cfg.eta, workers)
 
 
 def run_bpsk_baseline(cfg, workers=1):
     """Plain BPSK with the inner code on the same seeds; eta = R1."""
-
-    def go(pool):
-        points = []
-        for esn0 in cfg.esn0_grid_db:
-            counters, _ = _run_point(cfg, esn0, "baseline", workers, pool)
-            points.append(_make_point(cfg, esn0, cfg.r1, counters))
-        return points
-
-    return SweepResult(mode="baseline", eta=cfg.r1, points=_with_pool(cfg, workers, go))
+    return _sweep(cfg, "baseline", cfg.r1, workers)
 
 
 def _ci95_halfwidth(errs, bits):
@@ -524,36 +497,31 @@ def _ci95_halfwidth(errs, bits):
     return 1.96 * math.sqrt(p * (1.0 - p) / bits)
 
 
+def _genie_point(cfg, esn0, aff_c, gen_c):
+    aff = _make_point(esn0, cfg.eta, aff_c)
+    gen = _make_point(esn0, cfg.eta, gen_c)
+    gap = abs(aff.ber_inner - gen.ber_inner)
+    ci_a = _ci95_halfwidth(aff.errs_inner, aff.bits_inner)
+    ci_g = _ci95_halfwidth(gen.errs_inner, gen.bits_inner)
+    return GeniePoint(
+        esn0_db=esn0,
+        ebn0_db=aff.ebn0_db,
+        affected=aff,
+        genie=gen,
+        gap_inner_ber=gap,
+        ci95_affected=ci_a,
+        ci95_genie=ci_g,
+        insignificant=gap <= ci_a + ci_g,
+    )
+
+
 def run_genie_compare(cfg, workers=1):
     """Paired sweeps on shared noise: receiver-estimated rotation bits
     vs the true ones. Both branches see the identical frame set; the
     stopping rule follows the error-affected branch. Outer-stream
     numbers are common to both branches by construction."""
-
-    def go(pool):
-        points = []
-        for esn0 in cfg.esn0_grid_db:
-            aff_c, gen_c = _run_point(cfg, esn0, "pair", workers, pool)
-            aff = _make_point(cfg, esn0, cfg.eta, aff_c)
-            gen = _make_point(cfg, esn0, cfg.eta, gen_c)
-            gap = abs(aff.ber_inner - gen.ber_inner)
-            ci_a = _ci95_halfwidth(aff.errs_inner, aff.bits_inner)
-            ci_g = _ci95_halfwidth(gen.errs_inner, gen.bits_inner)
-            points.append(
-                GeniePoint(
-                    esn0_db=esn0,
-                    ebn0_db=aff.ebn0_db,
-                    affected=aff,
-                    genie=gen,
-                    gap_inner_ber=gap,
-                    ci95_affected=ci_a,
-                    ci95_genie=ci_g,
-                    insignificant=gap <= ci_a + ci_g,
-                )
-            )
-        return points
-
-    return GenieCompareResult(eta=cfg.eta, points=_with_pool(cfg, workers, go))
+    points = _grid(cfg, "pair", workers, lambda esn0, a, g: _genie_point(cfg, esn0, a, g))
+    return GenieCompareResult(eta=cfg.eta, points=points)
 
 
 # ------------------------------------------------------------ persistence
@@ -667,26 +635,26 @@ def _code_from_entry(entry, base_dir, where):
     if "alist" in entry:
         extra = set(entry) - {"alist"}
         _expect(not extra, f"{where}: unexpected fields {sorted(extra)}")
+        _expect(isinstance(entry["alist"], str), f"{where}.alist must be a path string")
         p = Path(entry["alist"])
         if not p.is_absolute():
             p = base_dir / p
         _expect(p.exists(), f"{where}.alist: no such file {p}")
-        code = LdpcCode.from_alist(p)
-        code.origin = {"kind": "alist", "path": str(p)}
-        return code
+        return LdpcCode.from_alist(p)
     needed = {"n", "row_degree", "col_degree", "seed"}
     missing = needed - set(entry)
     _expect(not missing, f"{where}: missing fields {sorted(missing)}")
     extra = set(entry) - needed
     _expect(not extra, f"{where}: unexpected fields {sorted(extra)}")
     for k in needed:
-        _expect(isinstance(entry[k], int) and entry[k] >= 0, f"{where}.{k} must be a non-negative integer")
+        _expect(_is_int(entry[k]) and entry[k] >= 0, f"{where}.{k} must be a non-negative integer")
     return LdpcCode.random_regular(entry["n"], entry["row_degree"], entry["col_degree"], entry["seed"])
 
 
 def load_config(path):
     """SystemConfig from a JSON document; every field of the dataclass
-    is overridable and validation errors name the offending field."""
+    is overridable and validation errors name the offending field.
+    Values outside the code entries are checked by SystemConfig."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -695,15 +663,11 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _expect(isinstance(data, dict), "config root must be an object")
-    known = {
-        "inner_code", "outer_code", "es", "esn0_grid_db", "max_iter",
-        "stop", "seed", "genie_beta", "outer_rebuild", "batch_frames",
-    }
-    unknown = set(data) - known
+    scalars = {"es", "max_iter", "seed", "genie_beta", "outer_rebuild", "batch_frames"}
+    unknown = set(data) - scalars - {"inner_code", "outer_code", "esn0_grid_db", "stop"}
     _expect(not unknown, f"unknown config fields: {sorted(unknown)}")
-    _expect("inner_code" in data, "missing required field inner_code")
-    _expect("outer_code" in data, "missing required field outer_code")
-    _expect("esn0_grid_db" in data, "missing required field esn0_grid_db")
+    for k in ("inner_code", "outer_code", "esn0_grid_db"):
+        _expect(k in data, f"missing required field {k}")
     base_dir = path.resolve().parent
 
     inner = _code_from_entry(data["inner_code"], base_dir, "inner_code")
@@ -713,41 +677,14 @@ def load_config(path):
     extra = set(oc) - {"base", "rep_factor"}
     _expect(not extra, f"outer_code: unexpected fields {sorted(extra)}")
     rep = oc.get("rep_factor", 1)
-    _expect(isinstance(rep, int) and rep >= 1, "outer_code.rep_factor must be an integer >= 1")
+    _expect(_is_int(rep) and rep >= 1, "outer_code.rep_factor must be an integer >= 1")
     outer = RepetitionCode(_code_from_entry(oc["base"], base_dir, "outer_code.base"), rep)
 
-    grid = data["esn0_grid_db"]
-    _expect(isinstance(grid, list) and grid, "esn0_grid_db must be a non-empty list")
-    for v in grid:
-        _expect(isinstance(v, (int, float)), f"esn0_grid_db entry {v!r} is not a number")
-
-    kwargs = {}
-    if "es" in data:
-        _expect(isinstance(data["es"], (int, float)) and data["es"] > 0, "es must be a positive number")
-        kwargs["es"] = float(data["es"])
-    if "max_iter" in data:
-        _expect(isinstance(data["max_iter"], int) and data["max_iter"] >= 1, "max_iter must be an integer >= 1")
-        kwargs["max_iter"] = data["max_iter"]
-    if "stop" in data:
-        stop = data["stop"]
-        _expect(isinstance(stop, dict), "stop must be an object")
-        bad = set(stop) - {"min_frame_errors", "max_frames"}
-        _expect(not bad, f"stop: unexpected fields {sorted(bad)}")
-        for k in ("min_frame_errors", "max_frames"):
-            if k in stop:
-                _expect(isinstance(stop[k], int) and stop[k] >= 1, f"stop.{k} must be an integer >= 1")
-                kwargs[k] = stop[k]
-    if "seed" in data:
-        _expect(isinstance(data["seed"], int) and 0 <= data["seed"] < 2**64, "seed must be an integer in [0, 2**64)")
-        kwargs["seed"] = data["seed"]
-    if "genie_beta" in data:
-        _expect(isinstance(data["genie_beta"], bool), "genie_beta must be a boolean")
-        kwargs["genie_beta"] = data["genie_beta"]
-    if "outer_rebuild" in data:
-        _expect(data["outer_rebuild"] in ("reencode", "direct"), "outer_rebuild must be 'reencode' or 'direct'")
-        kwargs["outer_rebuild"] = data["outer_rebuild"]
-    if "batch_frames" in data:
-        _expect(isinstance(data["batch_frames"], int) and data["batch_frames"] >= 1, "batch_frames must be an integer >= 1")
-        kwargs["batch_frames"] = data["batch_frames"]
-
-    return SystemConfig(inner=inner, outer=outer, esn0_grid_db=tuple(float(v) for v in grid), **kwargs)
+    _expect(isinstance(data["esn0_grid_db"], list), "esn0_grid_db must be a list")
+    kwargs = {k: data[k] for k in scalars & set(data)}
+    stop = data.get("stop", {})
+    _expect(isinstance(stop, dict), "stop must be an object")
+    bad = set(stop) - {"min_frame_errors", "max_frames"}
+    _expect(not bad, f"stop: unexpected fields {sorted(bad)}")
+    kwargs.update(stop)
+    return SystemConfig(inner=inner, outer=outer, esn0_grid_db=tuple(data["esn0_grid_db"]), **kwargs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmmsim.channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
-from dmmsim.modem import QUARTER_TURN, rotate
+from dmmsim.modem import rotate_by_bits
 
 LOG10_2_DB = 3.010299956639812  # 10*log10(2)
 ETA_7_12_SHIFT_DB = 2.3408320603336796  # -10*log10(7/12)
@@ -90,7 +90,7 @@ def test_noise_rotation_invariance_moments():
     n = 200_000
     p = ChannelParams(es=1.0, sigma2_total=0.8)
     y = add_noise(np.zeros((n, 2)), p, SeededRng(seed=5))
-    r = rotate(y, QUARTER_TURN)
+    r = rotate_by_bits(y, np.ones(n, dtype=np.uint8))
     se = math.sqrt(p.sigma2_dim / n)
     assert np.all(np.abs(r.mean(axis=0)) < 4 * se)
     assert np.allclose(np.cov(r.T), np.cov(y.T)[::-1, ::-1] * [[1, -1], [-1, 1]], atol=1e-12)

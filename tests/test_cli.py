@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,14 @@ def test_parse_grid_range_and_list():
         parse_grid("a,b")
     with pytest.raises(ConfigError):
         parse_grid("1:2:3:4")
+    # ranges too long to build are rejected before any point is made
+    for text in ("0:1e9:1e-9", "0:inf:1"):
+        with pytest.raises(ConfigError, match="points"):
+            parse_grid(text)
+    for text in ("nan", "-inf,0"):
+        with pytest.raises(ConfigError, match="NaN"):
+            parse_grid(text)
+    assert parse_grid("inf") == (math.inf,)  # noiseless
 
 
 def test_capacity_subcommand(tmp_path, capsys):

@@ -5,7 +5,6 @@ from dmmsim.ldpc import (
     CodeConstructionError,
     LdpcCode,
     RepetitionCode,
-    decode_bp,
     decode_bp_full,
     derive_generator,
     encode,
@@ -132,10 +131,10 @@ def test_syndrome_invariant_random_info():
 
 def test_decode_strong_positive_llr_one_iteration():
     code = hamming_code()
-    info, iters, converged = decode_bp(code, np.full(7, 20.0), max_iter=50)
+    hard, _post, iters, converged = decode_bp_full(code, np.full(7, 20.0), max_iter=50)
     assert converged
     assert iters == 1
-    assert not info.any()
+    assert not hard[code.info_positions].any()
 
 
 def test_decode_hamming_corrects_single_flip():
@@ -143,17 +142,17 @@ def test_decode_hamming_corrects_single_flip():
     llr = np.full(7, 4.0)
     llr[2] = -2.0
     assert not ml_codeword(code.g_dense, llr).any()  # oracle: all-zero is ML
-    info, _iters, converged = decode_bp(code, llr, max_iter=50)
+    hard, _post, _iters, converged = decode_bp_full(code, llr, max_iter=50)
     assert converged
-    assert not info.any()
+    assert not hard[code.info_positions].any()
 
 
 def test_decode_zero_llr_reports_no_convergence():
     code = hamming_code()
-    info, iters, converged = decode_bp(code, np.zeros(7), max_iter=8)
+    hard, _post, iters, converged = decode_bp_full(code, np.zeros(7), max_iter=8)
     assert not converged
     assert iters == 8
-    assert not info.any()  # ties decide bit 0
+    assert not hard.any()  # ties decide bit 0
 
 
 def test_decode_matches_ml_on_random_llrs():
@@ -190,21 +189,21 @@ def test_roundtrip_large_llr():
             info = rng.integers(0, 2, code.k_info, dtype=np.uint8)
             cw = encode(code, info)
             llr = (1.0 - 2.0 * cw) * 20.0
-            out, _iters, converged = decode_bp(code, llr, max_iter=50)
+            hard, _post, _iters, converged = decode_bp_full(code, llr, max_iter=50)
             assert converged
-            assert np.array_equal(out, info)
+            assert np.array_equal(hard[code.info_positions], info)
 
 
 def test_decode_input_validation():
     code = hamming_code()
     with pytest.raises(ValueError):
-        decode_bp(code, np.zeros(6), max_iter=10)
+        decode_bp_full(code, np.zeros(6), max_iter=10)
     with pytest.raises(ValueError):
-        decode_bp(code, np.zeros(7), max_iter=0)
+        decode_bp_full(code, np.zeros(7), max_iter=0)
     bad = np.zeros(7)
     bad[3] = np.nan
     with pytest.raises(ValueError):
-        decode_bp(code, bad, max_iter=10)
+        decode_bp_full(code, bad, max_iter=10)
 
 
 # --------------------------------------------------------------- repetition
@@ -276,9 +275,9 @@ def test_rep_roundtrip_with_combining():
         info = rng.integers(0, 2, rc.k_info, dtype=np.uint8)
         cw = rep_encode(rc, info)
         llr = (1.0 - 2.0 * cw) * 6.0
-        out, _iters, converged = decode_bp(rc.base, rep_combine(rc, llr), max_iter=50)
+        hard, _post, _iters, converged = decode_bp_full(rc.base, rep_combine(rc, llr), max_iter=50)
         assert converged
-        assert np.array_equal(out, info)
+        assert np.array_equal(hard[rc.base.info_positions], info)
 
 
 # ------------------------------------------------------------- construction
@@ -329,6 +328,9 @@ def test_random_regular_validation():
         LdpcCode.random_regular(10, 6, 4, seed=0)  # 40 % 6 != 0
     with pytest.raises(CodeConstructionError):
         LdpcCode.random_regular(12, 3, 3, seed=0)  # m == n, no info bits
+    for seed in (-1, 2**64):  # outside the Philox key range
+        with pytest.raises(CodeConstructionError, match="seed"):
+            LdpcCode.random_regular(96, 6, 3, seed=seed)
 
 
 # -------------------------------------------------------------------- alist
@@ -399,6 +401,11 @@ def test_alist_malformed(tmp_path):
     p4.write_text(mismatch)
     with pytest.raises(CodeConstructionError):
         LdpcCode.from_alist(p4)
+
+    p5 = tmp_path / "non_integer.alist"
+    p5.write_text("7 3\n3 x\n")
+    with pytest.raises(CodeConstructionError, match="non-integer"):
+        LdpcCode.from_alist(p5)
 
 
 def test_codewords_cover_null_space():

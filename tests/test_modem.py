@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from dmmsim.modem import (
-    QUARTER_TURN,
     Constellation,
-    beta_from_bit,
-    bit_from_beta,
     demap_inner_llr,
     demap_outer_hard,
     demap_outer_llr,
-    derotate,
     map_bpsk,
-    map_dmm,
-    rotate,
     rotate_by_bits,
 )
 from oracles import bpsk_llr_density
@@ -36,66 +30,56 @@ def test_map_bpsk_batch():
 
 
 def test_rotate_quarter_turns():
-    assert np.array_equal(rotate([1.0, 0.0], QUARTER_TURN), [0.0, 1.0])
-    assert np.array_equal(rotate([-1.0, 0.0], QUARTER_TURN), [0.0, -1.0])
-    assert np.array_equal(rotate([0.3, -0.4], 0.0), [0.3, -0.4])
-    assert np.array_equal(rotate([0.1, -0.8], QUARTER_TURN, inverse=True), [-0.8, -0.1])
-
-
-def test_rotate_rejects_other_angles():
-    with pytest.raises(ValueError):
-        rotate([1.0, 0.0], math.pi / 4)
+    assert np.array_equal(rotate_by_bits([1.0, 0.0], 1), [0.0, 1.0])
+    assert np.array_equal(rotate_by_bits([-1.0, 0.0], 1), [0.0, -1.0])
+    assert np.array_equal(rotate_by_bits([0.3, -0.4], 0), [0.3, -0.4])
+    assert np.array_equal(rotate_by_bits([0.3, -0.4], 0, inverse=True), [0.3, -0.4])
+    assert np.array_equal(rotate_by_bits([0.1, -0.8], 1, inverse=True), [-0.8, -0.1])
 
 
 def test_rotate_roundtrip_bit_exact():
     rng = np.random.default_rng(21)
     z = rng.normal(size=(256, 2))
-    for beta in (0.0, QUARTER_TURN):
-        back = rotate(rotate(z, beta), beta, inverse=True)
+    for bits in (np.zeros(256, dtype=np.uint8), np.ones(256, dtype=np.uint8), rng.integers(0, 2, 256)):
+        back = rotate_by_bits(rotate_by_bits(z, bits), bits, inverse=True)
         assert np.array_equal(back, z)
 
 
 def test_rotate_preserves_energy_exactly():
     rng = np.random.default_rng(22)
     z = rng.normal(size=(256, 2))
-    for beta in (0.0, QUARTER_TURN):
-        r = rotate(z, beta)
+    for bits in (np.zeros(256, dtype=np.uint8), np.ones(256, dtype=np.uint8)):
+        r = rotate_by_bits(z, bits)
         assert np.array_equal((r**2).sum(axis=-1), (z**2).sum(axis=-1))
 
 
-def test_beta_bit_conversions():
-    assert beta_from_bit(0) == 0.0
-    assert beta_from_bit(1) == QUARTER_TURN
-    assert bit_from_beta(0.0) == 0
-    assert bit_from_beta(QUARTER_TURN) == 1
-    with pytest.raises(ValueError):
-        bit_from_beta(1.0)
-
-
 def test_map_dmm_table():
+    # Constellation point 2*v1 + v2 carries inner bit v1 and outer bit v2.
     a = math.sqrt(2.0)
-    assert np.array_equal(map_dmm(0, 0, es=2.0), [a, 0.0])
-    assert np.array_equal(map_dmm(0, 1, es=2.0), [0.0, a])
-    assert np.array_equal(map_dmm(1, 0, es=2.0), [-a, 0.0])
-    assert np.array_equal(map_dmm(1, 1, es=2.0), [0.0, -a])
+    pts = Constellation(2.0).points
+    assert np.array_equal(pts[2 * 0 + 0], [a, 0.0])
+    assert np.array_equal(pts[2 * 0 + 1], [0.0, a])
+    assert np.array_equal(pts[2 * 1 + 0], [-a, 0.0])
+    assert np.array_equal(pts[2 * 1 + 1], [0.0, -a])
 
 
 def test_map_dmm_matches_rotate_of_bpsk():
+    pts = Constellation(1.0).points
     for v1 in (0, 1):
         for v2 in (0, 1):
-            direct = map_dmm(v1, v2, es=1.0)
-            composed = rotate(map_bpsk(v1, 1.0), beta_from_bit(v2))
-            assert np.array_equal(direct, composed)
+            assert np.array_equal(rotate_by_bits(map_bpsk(v1, 1.0), v2), pts[2 * v1 + v2])
 
 
 def test_roundtrip_derotation_recovers_bpsk_point():
+    pts = Constellation(1.0).points
     for v1 in (0, 1):
         for v2 in (0, 1):
-            y1 = derotate(map_dmm(v1, v2, es=1.0), beta_from_bit(v2))
+            y1 = rotate_by_bits(pts[2 * v1 + v2], v2, inverse=True)
             assert np.array_equal(y1, map_bpsk(v1, 1.0))
 
 
 def test_rotate_by_bits_matches_scalar_rotate():
+    # a whole frame rotates exactly as its symbols do one at a time
     rng = np.random.default_rng(23)
     z = rng.normal(size=(64, 2))
     bits = rng.integers(0, 2, 64)
@@ -103,7 +87,8 @@ def test_rotate_by_bits_matches_scalar_rotate():
     inv = rotate_by_bits(fwd, bits, inverse=True)
     assert np.array_equal(inv, z)
     for i in range(64):
-        assert np.array_equal(fwd[i], rotate(z[i], beta_from_bit(bits[i])))
+        assert np.array_equal(fwd[i], rotate_by_bits(z[i], bits[i]))
+        assert np.array_equal(fwd[i], [-z[i, 1], z[i, 0]] if bits[i] else z[i])
 
 
 def test_constellation_geometry():

@@ -10,8 +10,7 @@ from dmmsim.modem import (
     Constellation,
     demap_inner_llr,
     demap_outer_llr,
-    derotate,
-    map_dmm,
+    map_bpsk,
     rotate_by_bits,
 )
 from dmmsim.simkit import (
@@ -62,6 +61,18 @@ def test_config_invariants():
         small_config(esn0_grid_db=())
     with pytest.raises(ConfigError):
         small_config(max_iter=0)
+    for field, value in [
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("genie_beta", "yes"),
+        ("es", math.nan),
+        ("es", math.inf),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("esn0_grid_db", (True,)),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
 
 
 def test_noiseless_roundtrip():
@@ -115,7 +126,8 @@ def test_received_sequence_used_twice():
 def test_symbols_follow_mapping():
     cfg = small_config(esn0_grid_db=(math.inf,))
     t = run_frame(cfg, 1)
-    want = np.array([map_dmm(int(a), int(b), cfg.es) for a, b in zip(t.v1, t.v2)])
+    pts = Constellation(cfg.es).points
+    want = np.array([pts[2 * int(a) + int(b)] for a, b in zip(t.v1, t.v2)])
     assert np.array_equal(t.symbols, want)
     assert np.array_equal(t.received, t.symbols)  # noiseless
 
@@ -141,12 +153,12 @@ def test_wrong_beta_lands_on_imaginary_axis():
     # One outer bit error makes the derotated symbol land on the
     # imaginary axis, so the inner LLR for that symbol is exactly 0.
     es = 1.0
-    y_true_beta0 = map_dmm(0, 0, es)  # (+1, 0)
-    wrongly_derotated = derotate(y_true_beta0, math.pi / 2)
+    y_true_beta0 = Constellation(es).points[0]  # (+1, 0): v1 = 0, v2 = 0
+    wrongly_derotated = rotate_by_bits(y_true_beta0, 1, inverse=True)
     assert np.array_equal(wrongly_derotated, [0.0, -1.0])
     assert demap_inner_llr(wrongly_derotated, es, 0.5) == 0.0
-    y_true_beta1 = map_dmm(0, 1, es)  # (0, +1)
-    not_derotated = derotate(y_true_beta1, 0.0)
+    y_true_beta1 = Constellation(es).points[1]  # (0, +1): v1 = 0, v2 = 1
+    not_derotated = rotate_by_bits(y_true_beta1, 0, inverse=True)
     assert np.array_equal(not_derotated, [0.0, 1.0])
     assert demap_inner_llr(not_derotated, es, 0.5) == 0.0
 
@@ -205,6 +217,9 @@ def test_baseline_matches_genie_inner_branch():
         t = run_frame(cfg, fi, esn0_db=-2.0)
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
         assert np.array_equal(t.c1_hat, b.c1_hat)
+        # a baseline frame has no outer stream and sends unrotated BPSK
+        assert b.c2 is None and b.v2_hat is None and b.iters_outer is None
+        assert np.array_equal(b.symbols, map_bpsk(b.v1, cfg.es))
     assert pb.bits_outer == 0
     assert pb.ber_outer == 0.0
     assert pb.ebn0_db == ebn0_from_esn0(-2.0, 0.5)
@@ -357,6 +372,21 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "inner_code": {"n": 96}}, "inner_code"),
         ({**GOOD_CONFIG, "inner_code": {"alist": "missing.alist"}}, "alist"),
         ({**GOOD_CONFIG, "outer_code": {"base": GOOD_CONFIG["outer_code"]["base"], "rep_factor": 0}}, "rep_factor"),
+        # JSON booleans are neither integers nor numbers
+        ({**GOOD_CONFIG, "max_iter": True}, "max_iter"),
+        ({**GOOD_CONFIG, "batch_frames": True}, "batch_frames"),
+        ({**GOOD_CONFIG, "seed": False}, "seed"),
+        ({**GOOD_CONFIG, "stop": {"max_frames": True}}, "stop.max_frames"),
+        ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "n": True}}, "inner_code.n"),
+        ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "row_degree": True}}, "inner_code.row_degree"),
+        ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "col_degree": True}}, "inner_code.col_degree"),
+        ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "seed": False}}, "inner_code.seed"),
+        ({**GOOD_CONFIG, "outer_code": {"base": GOOD_CONFIG["outer_code"]["base"], "rep_factor": True}}, "rep_factor"),
+        ({**GOOD_CONFIG, "es": True}, "es must"),
+        ({**GOOD_CONFIG, "esn0_grid_db": [True]}, "esn0_grid_db"),
+        ({**GOOD_CONFIG, "seed": -1}, "seed"),
+        ({**GOOD_CONFIG, "inner_code": {"alist": 7}}, "inner_code.alist"),
+        ({**GOOD_CONFIG, "esn0_grid_db": 0.5}, "esn0_grid_db"),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
