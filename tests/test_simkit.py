@@ -384,6 +384,7 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "outer_code": {"base": GOOD_CONFIG["outer_code"]["base"], "rep_factor": True}}, "rep_factor"),
         ({**GOOD_CONFIG, "es": True}, "es must"),
         ({**GOOD_CONFIG, "esn0_grid_db": [True]}, "esn0_grid_db"),
+        # out of range or of the wrong kind
         ({**GOOD_CONFIG, "seed": -1}, "seed"),
         ({**GOOD_CONFIG, "inner_code": {"alist": 7}}, "inner_code.alist"),
         ({**GOOD_CONFIG, "esn0_grid_db": 0.5}, "esn0_grid_db"),
