@@ -34,9 +34,13 @@ def mi_bpsk(esn0_db):
 
     I = H(Y) - H(N) with Y an equiprobable two-Gaussian mixture on the
     real line; H(Y) by adaptive quadrature over +-12 standard
-    deviations (absolute tolerance well under 1e-9).
+    deviations (absolute tolerance well under 1e-9). A noiseless
+    channel (Es/N0 = +inf, or so large that the noise variance
+    underflows to 0) carries the full 1 bit.
     """
     s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
+    if s2 == 0.0:
+        return _mi_point(esn0_db, 1.0)
     sig = math.sqrt(s2)
     norm = 0.5 / math.sqrt(2.0 * math.pi * s2)
 
@@ -71,9 +75,12 @@ def mi_qpsk(esn0_db):
 
     Two-dimensional mixture of four Gaussians at (+-a, +-a), a=1/sqrt(2),
     integrated on Gauss-Legendre panels of roughly one noise standard
-    deviation, minus the complex-noise entropy.
+    deviation, minus the complex-noise entropy. A noiseless channel
+    carries the full 2 bits.
     """
     s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
+    if s2 == 0.0:
+        return _mi_point(esn0_db, 2.0)
     sig = math.sqrt(s2)
     a = 1.0 / math.sqrt(2.0)
     lo, hi = -a - 12.0 * sig, a + 12.0 * sig

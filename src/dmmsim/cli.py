@@ -22,6 +22,7 @@ from .channel import ebn0_from_esn0
 from .simkit import (
     ConfigError,
     build_manifest,
+    check_workers,
     load_config,
     run_bpsk_baseline,
     run_genie_compare,
@@ -81,6 +82,7 @@ def _command_string(argv):
 
 
 def _load_with_overrides(args):
+    check_workers(args.workers)
     cfg = load_config(args.config)
     changes = {}
     if args.grid is not None:

@@ -5,7 +5,8 @@ that lowers the base code rate by an integer factor.
 Parity-check matrices arrive as sparse (row, col) pairs, from an alist
 file, or from the seeded pseudo-random regular constructor. Encoding
 uses the derived dense generator with bit-packed XOR. Decoding is exact
-sum-product with a tanh/atanh kernel and an LLR magnitude cap.
+sum-product with a tanh/atanh kernel and an LLR magnitude cap, on check
+messages stored in a per-code slot layout.
 """
 
 import hashlib
@@ -18,6 +19,12 @@ from . import gf2
 
 # Magnitude cap applied to every LLR entering or produced by the decoder.
 LLR_CAP = 30.0
+
+# Largest code that is built. Construction holds dense (n_checks,
+# n_code) GF(2) matrices, and the seeded constructor socket arrays of
+# n_code * col_degree entries, so both are bounded before allocation.
+MAX_CODE_LENGTH = 1 << 14
+MAX_EDGES = 1 << 20
 
 # Stream id for code construction, outside the per-frame id range.
 _CODEGEN_STREAM = 2**63
@@ -60,6 +67,11 @@ def derive_generator(h_sparse, n_code, k_info):
     return g, free
 
 
+def _check_length(n_code):
+    if n_code > MAX_CODE_LENGTH:
+        raise CodeConstructionError(f"n_code={n_code} exceeds MAX_CODE_LENGTH={MAX_CODE_LENGTH}")
+
+
 def _edge_arrays(h_sparse, n_code):
     pairs = np.asarray(list(h_sparse), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
@@ -82,6 +94,7 @@ class LdpcCode:
     """
 
     def __init__(self, h_sparse, n_code, n_checks=None):
+        _check_length(n_code)
         rows, cols = _edge_arrays(h_sparse, n_code)
         if n_checks is None:
             n_checks = int(rows.max()) + 1
@@ -99,15 +112,23 @@ class LdpcCode:
             raise CodeConstructionError(
                 f"n_checks={n_checks} leaves no information bits for n_code={n_code}"
             )
-        self._er = rows[order].astype(np.int32)
-        self._ec = cols[order].astype(np.int32)
+        self._er = rows[order].astype(np.intp)
+        self._ec = cols[order].astype(np.intp)
         self.g_dense, self.info_positions = derive_generator(
             zip(self._er.tolist(), self._ec.tolist()), self.n_code, self.k_info
         )
         self._g_packed = np.packbits(self.g_dense, axis=1)
+        # Check slot layout: slot (j, i) holds the j-th edge of row i.
+        # Rows shorter than the longest one are padded with slots that
+        # point at variable n_code, one past the last code bit.
         deg = np.bincount(self._er, minlength=self.n_checks)
-        self._deg_max = int(deg.max())
-        self._pad_mask = np.arange(self._deg_max)[None, :] < deg[:, None]
+        starts = np.cumsum(deg) - deg
+        pos = np.arange(self._er.size) - starts[self._er]
+        self._slot_col = np.full((int(deg.max()), self.n_checks), self.n_code, dtype=np.intp)
+        self._slot_col[pos, self._er] = self._ec
+        self._edge_slot = pos * self.n_checks + self._er  # flat slot of each edge
+        pad = self._slot_col == self.n_code
+        self._pad = pad if pad.any() else None
         # construction record for run manifests; classmethod constructors refine it
         self.origin = {"kind": "explicit"}
 
@@ -129,9 +150,14 @@ class LdpcCode:
         bits = np.asarray(bits)
         if bits.shape != (self.n_code,):
             raise ValueError(f"bit vector length {bits.shape} != ({self.n_code},)")
-        acc = np.bincount(self._er, weights=bits[self._ec].astype(np.float64),
-                          minlength=self.n_checks)
-        return (acc.astype(np.int64) & 1).astype(np.uint8)
+        ext = np.zeros(self.n_code + 1, dtype=np.uint8)
+        ext[:-1] = bits.astype(np.uint8) & 1
+        return self._parity(ext)
+
+    def _parity(self, ext):
+        """Parity of each check for 0/1 values ext of length n_code + 1
+        whose last entry, the target of the pad slots, is 0."""
+        return np.bitwise_xor.reduce(ext[self._slot_col], axis=0)
 
     def fingerprint(self):
         """Stable hex digest of the parity-check matrix."""
@@ -219,6 +245,11 @@ class LdpcCode:
         """
         if n_code < 2 or row_degree < 1 or col_degree < 1:
             raise CodeConstructionError("degrees and length must be positive")
+        _check_length(n_code)
+        if n_code * col_degree > MAX_EDGES:
+            raise CodeConstructionError(
+                f"n_code*col_degree={n_code * col_degree} exceeds MAX_EDGES={MAX_EDGES}"
+            )
         if not 0 <= seed < 2**64:
             raise CodeConstructionError("seed must lie in [0, 2**64)")
         if (n_code * col_degree) % row_degree != 0:
@@ -287,6 +318,12 @@ def decode_bp_full(code, llr, max_iter, early_exit=True):
     posterior is exactly zero; with early_exit the loop stops at the
     first iteration where that holds. Hard ties (LLR exactly 0) decide
     bit 0.
+
+    Messages live in the code's (max row degree, n_checks) check slot
+    layout, so each leave-one-out product is a run of contiguous row
+    multiplies. The products multiply in the order of a running product
+    along each check row, and check-to-variable messages are summed per
+    variable in row-major edge order, so the result is fixed to the bit.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -296,40 +333,50 @@ def decode_bp_full(code, llr, max_iter, early_exit=True):
     if not np.all(np.isfinite(llr)):
         raise ValueError("llr contains non-finite values")
     llr = np.clip(llr, -LLR_CAP, LLR_CAP)
-    er, ec, mask = code._er, code._ec, code._pad_mask
-    m, dmax, n = code.n_checks, code._deg_max, code.n_code
+    slot_col, pad = code._slot_col, code._pad
+    dmax, n = slot_col.shape[0], code.n_code
     atanh_lim = np.nextafter(1.0, 0.0)
-    v2c = llr[ec]
-    pad = np.empty((m, dmax))
-    prefix = np.empty((m, dmax))
-    sufrev = np.empty((m, dmax))
-    hard = (llr < 0).astype(np.uint8)
-    post = llr
+    # post[n] and hard[n] stay 0: the pad slots' target
+    post = np.zeros(n + 1)
+    hard = np.zeros(n + 1, dtype=np.uint8)
+    post[:n] = llr
+    msg = post.take(slot_col)  # variable-to-check, then tanh(msg / 2)
+    loo = np.empty_like(msg)  # leave-one-out product, then check-to-variable
+    run = np.empty(msg.shape[1])
+    msg_rows, loo_rows = list(msg), list(loo)
     converged = False
     iters = max_iter
     for it in range(1, max_iter + 1):
-        t = np.tanh(0.5 * v2c)
-        pad.fill(1.0)
-        pad[mask] = t
-        prefix[:, 0] = 1.0
-        np.cumprod(pad[:, :-1], axis=1, out=prefix[:, 1:])
-        rev = np.ascontiguousarray(pad[:, ::-1])
-        sufrev[:, 0] = 1.0
-        np.cumprod(rev[:, :-1], axis=1, out=sufrev[:, 1:])
-        loo = prefix * sufrev[:, ::-1]
+        np.multiply(msg, 0.5, out=msg)
+        np.tanh(msg, out=msg)
+        if pad is not None:
+            msg[pad] = 1.0
+        # loo[j] = (msg[0] * ... * msg[j-1]) * (msg[dmax-1] * ... * msg[j+1])
+        loo_rows[0].fill(1.0)
+        for j in range(1, dmax):
+            np.multiply(loo_rows[j - 1], msg_rows[j - 1], out=loo_rows[j])
+        np.copyto(run, msg_rows[dmax - 1])
+        for j in range(dmax - 2, -1, -1):
+            np.multiply(loo_rows[j], run, out=loo_rows[j])
+            if j:
+                np.multiply(run, msg_rows[j], out=run)
         np.clip(loo, -atanh_lim, atanh_lim, out=loo)
-        c2v = 2.0 * np.arctanh(loo[mask])
-        np.clip(c2v, -LLR_CAP, LLR_CAP, out=c2v)
-        post = llr + np.bincount(ec, weights=c2v, minlength=n)
-        hard = (post < 0.0).astype(np.uint8)
-        par = np.bincount(er, weights=hard[ec].astype(np.float64), minlength=m)
-        converged = not np.any(par.astype(np.int64) & 1) and bool(np.all(post != 0.0))
-        if converged and early_exit:
-            iters = it
-            break
+        np.arctanh(loo, out=loo)
+        np.multiply(loo, 2.0, out=loo)
+        np.clip(loo, -LLR_CAP, LLR_CAP, out=loo)
+        np.add(llr, np.bincount(code._ec, weights=loo.take(code._edge_slot), minlength=n),
+               out=post[:n])
+        np.less(post[:n], 0.0, out=hard[:n])
+        if early_exit or it == max_iter:
+            converged = not code._parity(hard).any() and bool(np.all(post[:n] != 0.0))
+            if converged and early_exit:
+                iters = it
+                break
         if it < max_iter:
-            v2c = np.clip(post[ec] - c2v, -LLR_CAP, LLR_CAP)
-    return hard, post, iters, converged
+            post.take(slot_col, out=msg, mode="clip")  # indices are in range
+            np.subtract(msg, loo, out=msg)
+            np.clip(msg, -LLR_CAP, LLR_CAP, out=msg)
+    return hard[:n].copy(), post[:n].copy(), iters, converged
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ identical for any worker count.
 
 import json
 import math
+import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -35,6 +36,7 @@ from .capacity import eta_total
 from .channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
 from .ldpc import (
     LLR_CAP,
+    CodeConstructionError,
     LdpcCode,
     RepetitionCode,
     decode_bp_full,
@@ -418,7 +420,7 @@ def _run_point(cfg, esn0_db, kind, workers, pool):
     bf = cfg.batch_frames
     while not _stopped(cfg, primary):
         window = []
-        for w in range(max(1, workers)):
+        for w in range(workers):
             lo = (j + w) * bf
             if lo >= cfg.max_frames:
                 break
@@ -460,8 +462,16 @@ def _make_point(esn0_db, eta, c):
     )
 
 
+def check_workers(workers):
+    """Reject a worker count outside [1, os.cpu_count()]."""
+    cores = os.cpu_count() or 1
+    if not (_is_int(workers) and 1 <= workers <= cores):
+        raise ConfigError(f"workers must be an integer in [1, {cores}], got {workers!r}")
+
+
 def _grid(cfg, kind, workers, make):
     """make(esn0_db, primary, genie) per grid point, sharing one pool when workers > 1."""
+    check_workers(workers)
     if workers > 1:
         executor = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,))
     else:
@@ -631,6 +641,13 @@ def _expect(cond, msg):
 
 
 def _code_from_entry(entry, base_dir, where):
+    try:
+        return _build_code(entry, base_dir, where)
+    except CodeConstructionError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _build_code(entry, base_dir, where):
     _expect(isinstance(entry, dict), f"{where} must be an object")
     if "alist" in entry:
         extra = set(entry) - {"alist"}

@@ -11,6 +11,8 @@ from itertools import product
 import numpy as np
 from scipy.special import logsumexp
 
+from dmmsim.ldpc import LLR_CAP
+
 
 def gf2_rank_naive(mat):
     """Rank over GF(2) by textbook row elimination on python lists."""
@@ -89,6 +91,61 @@ def bpsk_llr_density(y, es, sigma2_dim):
     """BPSK LLR from direct density evaluation (amplitude +/- sqrt(es))."""
     a = np.sqrt(es)
     return gaussian_logpdf(y, a, sigma2_dim) - gaussian_logpdf(y, -a, sigma2_dim)
+
+
+def decode_bp_reference(code, llr, max_iter, early_exit=True):
+    """Sum-product decoding on a padded (n_checks, max row degree) edge
+    table with cumulative products: the decoder's former kernel, kept to
+    pin the current one bit for bit.
+
+    Returns (hard_bits, posterior_llr, iterations_used, converged) with
+    the same meaning as ``decode_bp_full``.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != (code.n_code,):
+        raise ValueError(f"llr length {llr.shape} != ({code.n_code},)")
+    if not np.all(np.isfinite(llr)):
+        raise ValueError("llr contains non-finite values")
+    llr = np.clip(llr, -LLR_CAP, LLR_CAP)
+    edges = np.array(code.h_sparse, dtype=np.int64)  # sorted by (row, col)
+    er, ec = edges[:, 0], edges[:, 1]
+    deg = np.bincount(er, minlength=code.n_checks)
+    mask = np.arange(deg.max())[None, :] < deg[:, None]
+    m, dmax, n = code.n_checks, int(deg.max()), code.n_code
+    atanh_lim = np.nextafter(1.0, 0.0)
+    v2c = llr[ec]
+    pad = np.empty((m, dmax))
+    prefix = np.empty((m, dmax))
+    sufrev = np.empty((m, dmax))
+    hard = (llr < 0).astype(np.uint8)
+    post = llr
+    converged = False
+    iters = max_iter
+    for it in range(1, max_iter + 1):
+        t = np.tanh(0.5 * v2c)
+        pad.fill(1.0)
+        pad[mask] = t
+        prefix[:, 0] = 1.0
+        np.cumprod(pad[:, :-1], axis=1, out=prefix[:, 1:])
+        rev = np.ascontiguousarray(pad[:, ::-1])
+        sufrev[:, 0] = 1.0
+        np.cumprod(rev[:, :-1], axis=1, out=sufrev[:, 1:])
+        loo = prefix * sufrev[:, ::-1]
+        np.clip(loo, -atanh_lim, atanh_lim, out=loo)
+        c2v = 2.0 * np.arctanh(loo[mask])
+        np.clip(c2v, -LLR_CAP, LLR_CAP, out=c2v)
+        post = llr + np.bincount(ec, weights=c2v, minlength=n)
+        hard = (post < 0.0).astype(np.uint8)
+        par = np.bincount(er, weights=hard[ec].astype(np.float64), minlength=m)
+        converged = not np.any(par.astype(np.int64) & 1) and bool(np.all(post != 0.0))
+        if converged and early_exit:
+            iters = it
+            break
+        if it < max_iter:
+            v2c = np.clip(post[ec] - c2v, -LLR_CAP, LLR_CAP)
+    return hard, post, iters, converged
 
 
 HAMMING_H = np.array(

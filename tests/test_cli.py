@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dmmsim import cli, simkit
 from dmmsim.cli import main, parse_grid
 from dmmsim.simkit import ConfigError
 
@@ -69,6 +70,13 @@ def test_capacity_subcommand(tmp_path, capsys):
     assert float(row.split(",")[1]) > 1.99
 
 
+@pytest.mark.parametrize("modulation, bits", [("bpsk", 1), ("qpsk", 2)])
+def test_capacity_noiseless_grid_point(tmp_path, modulation, bits):
+    assert main(["capacity", "--grid", "inf", "--modulation", modulation, "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / f"capacity_{modulation}.csv").read_text().splitlines()
+    assert rows[1:] == [f"inf,{bits:.9f},inf"]
+
+
 def test_capacity_bad_grid_exits_nonzero(tmp_path, capsys):
     rc = main(["capacity", "--grid", "oops", "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -100,6 +108,24 @@ def test_ber_sweep_worker_invariance(cfg_path, tmp_path):
     assert main(["ber-sweep", str(cfg_path), "--out-dir", str(out1)]) == 0
     assert main(["ber-sweep", str(cfg_path), "--workers", "2", "--out-dir", str(out2)]) == 0
     assert (out1 / "dmm_sweep.csv").read_bytes() == (out2 / "dmm_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "5"])
+@pytest.mark.parametrize("command", ["ber-sweep", "genie-compare"])
+def test_workers_outside_core_count_rejected(cfg_path, tmp_path, capsys, monkeypatch, command, workers):
+    def no_call(*args, **kwargs):
+        raise AssertionError("called after a rejected --workers")
+
+    cfg = simkit.load_config(cfg_path)
+    monkeypatch.setattr(simkit.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", no_call)
+    monkeypatch.setattr(cli, "load_config", no_call)
+    out = tmp_path / "out"
+    assert main([command, str(cfg_path), "--workers", workers, "--out-dir", str(out)]) == 2
+    assert "workers must be an integer in [1, 4]" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="workers"):
+        simkit.run_sweep(cfg, workers=int(workers))
 
 
 def test_ber_sweep_baseline_mode(cfg_path, tmp_path):

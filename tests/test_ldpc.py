@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmmsim.ldpc import (
+    LLR_CAP,
+    MAX_CODE_LENGTH,
     CodeConstructionError,
     LdpcCode,
     RepetitionCode,
@@ -11,11 +17,13 @@ from dmmsim.ldpc import (
     rep_combine,
     rep_encode,
 )
+from dmmsim.simkit import load_config
 from oracles import (
     HAMMING_H,
     TREE_H,
     all_codewords,
     bpsk_llr_density,
+    decode_bp_reference,
     exact_bit_posteriors,
     gaussian_logpdf,
     ml_codeword,
@@ -206,6 +214,68 @@ def test_decode_input_validation():
         decode_bp_full(code, bad, max_iter=10)
 
 
+def assert_same_decode(code, llr, max_iter, early_exit=True):
+    hard, post, iters, converged = decode_bp_full(code, llr, max_iter, early_exit)
+    ref_hard, ref_post, ref_iters, ref_converged = decode_bp_reference(code, llr, max_iter, early_exit)
+    assert hard.dtype == ref_hard.dtype and hard.tobytes() == ref_hard.tobytes()
+    assert post.tobytes() == ref_post.tobytes()
+    assert (iters, converged) == (ref_iters, ref_converged)
+
+
+@st.composite
+def irregular_codes(draw):
+    """Full-rank [A | I] codes, columns shuffled, whose first two rows
+    differ in degree, so the check slot layout has pad slots."""
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                               min_size=m, max_size=m)), dtype=np.uint8)
+    a[0] = 1
+    a[1, 0] = 0
+    perm = draw(st.permutations(range(k + m)))
+    return LdpcCode.from_dense(np.hstack([a, np.eye(m, dtype=np.uint8)])[:, perm])
+
+
+LLR_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, LLR_CAP, -LLR_CAP, 2 * LLR_CAP, -1e300]),
+    st.floats(-2 * LLR_CAP, 2 * LLR_CAP, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=irregular_codes(), data=st.data(), max_iter=st.integers(1, 60), early_exit=st.booleans())
+def test_decode_matches_reference_kernel_on_irregular_codes(code, data, max_iter, early_exit):
+    llr = np.array(data.draw(st.lists(LLR_VALUES, min_size=code.n_code, max_size=code.n_code)))
+    assert_same_decode(code, llr, max_iter, early_exit)
+    bits = (llr < 0).astype(np.uint8)
+    assert np.array_equal(code.syndrome(bits), syndrome_int(code.h_dense(), bits))
+
+
+def test_decode_matches_reference_kernel_on_degree_one_checks():
+    code = LdpcCode.from_dense([[1, 0, 0], [0, 0, 1]])  # one slot per check
+    for llr in ([1.0, -2.0, 3.0], [-1.0, 0.0, -40.0]):
+        for early_exit in (True, False):
+            assert_same_decode(code, np.array(llr), 5, early_exit)
+
+
+@pytest.fixture(scope="module")
+def desk_codes():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_scale.json")
+    return cfg.inner, cfg.outer.base
+
+
+@pytest.mark.parametrize("esn0_db", [-1.5, -1.0, 0.5])
+def test_decode_matches_reference_kernel_on_desk_codes(desk_codes, esn0_db):
+    # BPSK codewords over AWGN at the desk grid's waterfall and error-free points
+    sigma2 = 0.5 * 10.0 ** (-esn0_db / 10.0)
+    rng = np.random.default_rng(int(100 * esn0_db) + 1000)
+    for code in desk_codes:
+        for early_exit in (True, False):
+            cw = encode(code, rng.integers(0, 2, code.k_info, dtype=np.uint8))
+            y = 1.0 - 2.0 * cw + rng.normal(0.0, np.sqrt(sigma2), code.n_code)
+            assert_same_decode(code, 2.0 * y / sigma2, 50, early_exit)
+
+
 # --------------------------------------------------------------- repetition
 
 
@@ -283,6 +353,12 @@ def test_rep_roundtrip_with_combining():
 # ------------------------------------------------------------- construction
 
 
+def test_code_rejects_length_above_bound():
+    # checked before the dense GF(2) matrices are allocated
+    with pytest.raises(CodeConstructionError, match="MAX_CODE_LENGTH"):
+        LdpcCode([(0, 0), (0, 1)], n_code=MAX_CODE_LENGTH + 1)
+
+
 def test_code_rejects_duplicate_entries():
     with pytest.raises(CodeConstructionError, match="duplicate"):
         LdpcCode([(0, 0), (0, 0), (0, 1)], n_code=3, n_checks=1)
@@ -331,6 +407,11 @@ def test_random_regular_validation():
     for seed in (-1, 2**64):  # outside the Philox key range
         with pytest.raises(CodeConstructionError, match="seed"):
             LdpcCode.random_regular(96, 6, 3, seed=seed)
+    # sizes are checked before anything is allocated
+    with pytest.raises(CodeConstructionError, match="MAX_CODE_LENGTH"):
+        LdpcCode.random_regular(MAX_CODE_LENGTH + 6, 6, 3, seed=0)
+    with pytest.raises(CodeConstructionError, match="MAX_EDGES"):
+        LdpcCode.random_regular(MAX_CODE_LENGTH, MAX_CODE_LENGTH, MAX_CODE_LENGTH - 1, seed=0)
 
 
 # -------------------------------------------------------------------- alist

@@ -388,6 +388,8 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "seed": -1}, "seed"),
         ({**GOOD_CONFIG, "inner_code": {"alist": 7}}, "inner_code.alist"),
         ({**GOOD_CONFIG, "esn0_grid_db": 0.5}, "esn0_grid_db"),
+        # too long to build; rejected before any allocation
+        ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "n": 10**9}}, "inner_code: n_code"),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
