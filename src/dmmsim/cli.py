@@ -20,6 +20,7 @@ from pathlib import Path
 from .capacity import esn0_at_mi, mi_grid, rate_bound_outer, write_mi_csv
 from .channel import ebn0_from_esn0
 from .simkit import (
+    MAX_GRID_POINTS,
     ConfigError,
     build_manifest,
     check_workers,
@@ -34,13 +35,11 @@ from .simkit import (
 
 PROG = "dmmsim"
 
-# Largest number of points a start:stop:step grid may expand to.
-MAX_GRID_POINTS = 10_000
-
 
 def parse_grid(text):
     """Grid of Es/N0 values in dB: 'start:stop:step' (inclusive) or a
-    comma-separated list. Values are kept at 4 decimal places."""
+    comma-separated list, of at most MAX_GRID_POINTS points (a range is
+    counted before it is built). Values are kept at 4 decimal places."""
     text = text.strip()
     if not text:
         raise ConfigError("grid is empty")
@@ -59,8 +58,11 @@ def parse_grid(text):
         if stop < start:
             raise ConfigError("grid stop must be >= start")
         points = (stop - start) / step + 1
-        if not points <= MAX_GRID_POINTS:  # also rejects inf and nan
-            raise ConfigError(f"grid {text!r} spans about {points:.3g} points, more than {MAX_GRID_POINTS}")
+    else:
+        points = len(vals)
+    if not points <= MAX_GRID_POINTS:  # also rejects inf and nan
+        raise ConfigError(f"grid {text[:40]!r} spans about {points:.3g} points, more than {MAX_GRID_POINTS}")
+    if is_range:
         count = int(round((stop - start) / step))
         vals = [start + i * step for i in range(count + 1)]
         vals = [v for v in vals if v <= stop + 1e-9]

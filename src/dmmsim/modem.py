@@ -79,12 +79,24 @@ def demap_outer_llr(y, cst, sigma2_dim):
     log[(p(y|s1)+p(y|s3)) / (p(y|s2)+p(y|s4))] with independent
     per-dimension Gaussian noise of variance sigma2_dim and equal
     priors; positive favors outer bit 0.
+
+    The squared distances to the four axis points are formed from the
+    two coordinates directly, x-term first, which is bit-for-bit the
+    per-point sum over a length-2 axis: y - 0 is y and y - (-a) is y + a
+    in IEEE arithmetic.
     """
     if sigma2_dim <= 0:
         raise ValueError("sigma2_dim must be positive")
     y = np.asarray(y, dtype=np.float64)
-    e = -((y[..., None, :] - cst.points) ** 2).sum(axis=-1) / (2.0 * sigma2_dim)
-    return np.logaddexp(e[..., 0], e[..., 2]) - np.logaddexp(e[..., 1], e[..., 3])
+    a = math.sqrt(cst.es)
+    y0, y1 = y[..., 0], y[..., 1]
+    sq0, sq1 = y0**2, y1**2
+    s = 2.0 * sigma2_dim
+    e1 = -((y0 - a) ** 2 + sq1) / s
+    e2 = -(sq0 + (y1 - a) ** 2) / s
+    e3 = -((y0 + a) ** 2 + sq1) / s
+    e4 = -(sq0 + (y1 + a) ** 2) / s
+    return np.logaddexp(e1, e3) - np.logaddexp(e2, e4)
 
 
 def demap_inner_llr(y1, es, sigma2_dim):

@@ -68,6 +68,10 @@ class ConfigError(ValueError):
     """A configuration document or SystemConfig field is invalid."""
 
 
+# Largest number of points an Es/N0 grid may hold, from a config file or a --grid.
+MAX_GRID_POINTS = 10_000
+
+
 def _is_int(v):
     # bool is a subclass of int, but a JSON true is not a count
     return isinstance(v, int) and not isinstance(v, bool)
@@ -120,6 +124,10 @@ class SystemConfig:
                 raise ConfigError(f"{label} must be {requirement}")
         if not self.esn0_grid_db:
             raise ConfigError("esn0_grid_db must be non-empty")
+        if len(self.esn0_grid_db) > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"esn0_grid_db has {len(self.esn0_grid_db)} points, more than {MAX_GRID_POINTS}"
+            )
         for v in self.esn0_grid_db:
             if not _is_real(v) or math.isnan(v) or v == -math.inf:
                 raise ConfigError(f"esn0_grid_db entry {v!r} must be a number, not NaN or -inf")
@@ -188,13 +196,13 @@ def _bpsk_front_end(cfg, frame_index, esn0_db):
 
 
 def _dmm_front_end(cfg, frame_index, esn0_db):
-    """The BPSK frame with symbols and observation rotated by the outer code bits."""
+    """The BPSK frame with its observation rotated by the outer code bits;
+    the BPSK symbols x1 are returned unrotated, for callers that keep them."""
     params, c1, v1, x1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
     c2 = _frame_bits(cfg, frame_index, DOMAIN_OUTER_BITS, cfg.outer.k_info)
     v2 = rep_encode(cfg.outer, c2)
     y = rotate_by_bits(y1, v2)
-    symbols = rotate_by_bits(x1, v2)
-    return params, c1, v1, c2, v2, symbols, y
+    return params, c1, v1, c2, v2, x1, y
 
 
 def _outer_stage(cfg, y, params):
@@ -206,7 +214,9 @@ def _outer_stage(cfg, y, params):
     llr_outer = rep_combine(cfg.outer, llr_sym)
     hard_base, _post, iters, conv = decode_bp_full(cfg.outer.base, llr_outer, cfg.max_iter)
     c2_hat = hard_base[cfg.outer.base.info_positions]
-    if cfg.outer_rebuild == "reencode":
+    # A converged decode has zero syndrome, so hard_base is the codeword
+    # its info bits re-encode to; only a failed decode needs the encoder.
+    if cfg.outer_rebuild == "reencode" and not conv:
         v2_base = encode(cfg.outer.base, c2_hat)
     else:
         v2_base = hard_base
@@ -232,7 +242,7 @@ def run_frame(cfg, frame_index, esn0_db=None):
     true per-symbol rotation bits instead of the rebuilt ones.
     """
     esn0_db = _resolve_esn0(cfg, esn0_db)
-    params, c1, v1, c2, v2, symbols, y = _dmm_front_end(cfg, frame_index, esn0_db)
+    params, c1, v1, c2, v2, x1, y = _dmm_front_end(cfg, frame_index, esn0_db)
     llr_outer, c2_hat, v2_hat, it2, conv2 = _outer_stage(cfg, y, params)
     beta_bits = v2 if cfg.genie_beta else v2_hat
     y1 = rotate_by_bits(y, beta_bits, inverse=True)
@@ -242,7 +252,7 @@ def run_frame(cfg, frame_index, esn0_db=None):
         esn0_db=esn0_db,
         c1=c1,
         v1=v1,
-        symbols=symbols,
+        symbols=rotate_by_bits(x1, v2),
         received=y,
         llr_inner=llr_inner,
         c1_hat=c1_hat,
@@ -378,7 +388,7 @@ def _pair_frame(cfg, frame_index, esn0_db, affected, genie):
     # One front end and one outer decode feed both derotation branches;
     # when the rebuilt rotation bits are exact the branches coincide and
     # the inner decode runs once.
-    params, c1, _v1, c2, v2, _symbols, y = _dmm_front_end(cfg, frame_index, esn0_db)
+    params, c1, _v1, c2, v2, _x1, y = _dmm_front_end(cfg, frame_index, esn0_db)
     _llr_outer, c2_hat, v2_hat, it2, _conv2 = _outer_stage(cfg, y, params)
     _llr, c1_hat_a, it1_a, _conv = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), params)
     if np.array_equal(v2_hat, v2):

@@ -93,6 +93,17 @@ def bpsk_llr_density(y, es, sigma2_dim):
     return gaussian_logpdf(y, a, sigma2_dim) - gaussian_logpdf(y, -a, sigma2_dim)
 
 
+def demap_outer_llr_reference(y, cst, sigma2_dim):
+    """Outer-bit LLR from the squared distances to all four constellation
+    points at once, an (..., 4, 2) broadcast summed over its last axis:
+    the demapper's former body, kept to pin the current one bit for bit."""
+    if sigma2_dim <= 0:
+        raise ValueError("sigma2_dim must be positive")
+    y = np.asarray(y, dtype=np.float64)
+    e = -((y[..., None, :] - cst.points) ** 2).sum(axis=-1) / (2.0 * sigma2_dim)
+    return np.logaddexp(e[..., 0], e[..., 2]) - np.logaddexp(e[..., 1], e[..., 3])
+
+
 def decode_bp_reference(code, llr, max_iter, early_exit=True):
     """Sum-product decoding on a padded (n_checks, max row degree) edge
     table with cumulative products: the decoder's former kernel, kept to

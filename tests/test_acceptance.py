@@ -20,6 +20,8 @@ from dmmsim.ldpc import LdpcCode, decode_bp_full, encode, rep_combine
 from dmmsim.modem import Constellation
 from dmmsim.simkit import load_config, run_baseline_frame, run_frame, run_genie_compare
 
+pytestmark = pytest.mark.slow
+
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk_scale.json"
 
 

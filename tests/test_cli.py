@@ -43,10 +43,12 @@ def test_parse_grid_range_and_list():
         parse_grid("a,b")
     with pytest.raises(ConfigError):
         parse_grid("1:2:3:4")
-    # ranges too long to build are rejected before any point is made
-    for text in ("0:1e9:1e-9", "0:inf:1"):
+    # ranges too long to build are rejected before any point is made,
+    # and comma lists are held to the same cap
+    for text in ("0:1e9:1e-9", "0:inf:1", ",".join(["0.5"] * (simkit.MAX_GRID_POINTS + 1))):
         with pytest.raises(ConfigError, match="points"):
             parse_grid(text)
+    assert len(parse_grid(",".join(["0.5"] * simkit.MAX_GRID_POINTS))) == simkit.MAX_GRID_POINTS
     for text in ("nan", "-inf,0"):
         with pytest.raises(ConfigError, match="NaN"):
             parse_grid(text)
@@ -126,6 +128,23 @@ def test_workers_outside_core_count_rejected(cfg_path, tmp_path, capsys, monkeyp
     assert not out.exists()
     with pytest.raises(ConfigError, match="workers"):
         simkit.run_sweep(cfg, workers=int(workers))
+
+
+@pytest.mark.parametrize("source", ["--grid", "config"])
+def test_grid_above_cap_rejected_before_any_frame(cfg_path, tmp_path, capsys, monkeypatch, source):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a frame ran on a rejected grid")
+
+    monkeypatch.setattr(simkit, "_run_point", no_call)
+    grid = [0.5] * (simkit.MAX_GRID_POINTS + 1)
+    argv = ["ber-sweep", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+    if source == "--grid":
+        argv.append("--grid=" + ",".join(map(str, grid)))
+    else:
+        cfg_path.write_text(json.dumps({**CONFIG, "esn0_grid_db": grid}))
+    assert main(argv) == 2
+    assert f"points, more than {simkit.MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dmm_sweep.csv").exists()
 
 
 def test_ber_sweep_baseline_mode(cfg_path, tmp_path):

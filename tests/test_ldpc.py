@@ -134,6 +134,33 @@ def test_syndrome_invariant_random_info():
             assert not syndrome_int(H, encode(code, info)).any()
 
 
+# Small seeded regular codes, (n, row degree, column degree) with n <= 16,
+# so the null space of H can be enumerated over all 2**n words.
+SMALL_REGULAR = st.builds(
+    lambda shape, seed: LdpcCode.random_regular(*shape, seed),
+    st.sampled_from([(8, 4, 2), (9, 3, 2), (12, 6, 3), (12, 4, 3), (14, 7, 3), (16, 8, 4), (16, 4, 3)]),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=SMALL_REGULAR, data=st.data())
+def test_encode_properties_on_random_regular_codes(code, data):
+    # The receiver may take a converged decode as its rebuilt codeword
+    # only if every zero-syndrome word re-encodes from its info bits.
+    info = st.lists(st.integers(0, 1), min_size=code.k_info, max_size=code.k_info).map(
+        lambda b: np.array(b, dtype=np.uint8))
+    a, b = data.draw(info), data.draw(info)
+    H = code.h_dense()
+    assert not syndrome_int(H, encode(code, a)).any()
+    assert np.array_equal(encode(code, a ^ b), encode(code, a) ^ encode(code, b))
+    words = (np.arange(2**code.n_code)[:, None] >> np.arange(code.n_code)) & 1
+    codewords = words[~syndrome_int(H, words.T).any(axis=0)].astype(np.uint8)
+    assert len(codewords) == 2**code.k_info
+    for c in codewords:
+        assert np.array_equal(encode(code, c[code.info_positions]), c)
+
+
 # ------------------------------------------------------------------- decode
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmmsim.modem import (
     Constellation,
@@ -11,7 +14,23 @@ from dmmsim.modem import (
     map_bpsk,
     rotate_by_bits,
 )
-from oracles import bpsk_llr_density
+from oracles import bpsk_llr_density, demap_outer_llr_reference
+
+# Symbol coordinates: signed zeros, subnormals, ordinary values and
+# magnitudes up to 1e150, whose squares still fit a float64.
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e150, -1e150]),
+    st.floats(-4.0, 4.0),
+    st.floats(-1e150, 1e150),
+)
+
+# Symbol arrays of shape (2,), (n, 2) and (B, n, 2): one symbol, a frame, a batch.
+SYMBOLS = st.one_of(
+    st.just(()), st.tuples(st.integers(1, 6)), st.tuples(st.integers(1, 3), st.integers(1, 6))
+).flatmap(lambda lead: arrays(np.float64, lead + (2,), elements=COORDS))
+
+ES = st.floats(0.0, 100.0, exclude_min=True)
+SIGMA2 = st.floats(1e-6, 1e3)
 
 
 def test_map_bpsk_values():
@@ -173,3 +192,41 @@ def test_demap_inner_llr_odd_symmetry():
     pos = demap_inner_llr(np.stack([r, np.zeros(50)], axis=-1), 1.3, 0.7)
     neg = demap_inner_llr(np.stack([-r, np.zeros(50)], axis=-1), 1.3, 0.7)
     assert np.array_equal(pos, -neg)
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=SYMBOLS, es=ES, sigma2_dim=SIGMA2)
+def test_demap_outer_llr_matches_reference_bytes(y, es, sigma2_dim):
+    cst = Constellation(es)
+    got = demap_outer_llr(y, cst, sigma2_dim)
+    want = demap_outer_llr_reference(y, cst, sigma2_dim)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) == y.shape[:-1]
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=SYMBOLS, es=ES, sigma2_dim=SIGMA2)
+def test_demapper_symmetries_exact(y, es, sigma2_dim):
+    cst = Constellation(es)
+    llr = demap_outer_llr(y, cst, sigma2_dim)
+    # negating a symbol keeps its rotation; a quarter turn swaps the rotation pairs
+    assert np.array_equal(demap_outer_llr(-y, cst, sigma2_dim), llr)
+    assert np.array_equal(demap_outer_llr(rotate_by_bits(y, 1), cst, sigma2_dim), -llr)
+    inner = demap_inner_llr(y, es, sigma2_dim)
+    assert np.array_equal(demap_inner_llr(-y, es, sigma2_dim), -inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=SYMBOLS, data=st.data())
+def test_rotation_exact_properties(z, data):
+    bits = data.draw(arrays(np.uint8, z.shape[:-1], elements=st.integers(0, 1)))
+    back = rotate_by_bits(rotate_by_bits(z, bits), bits, inverse=True)
+    assert back.tobytes() == z.tobytes()
+    turned = z
+    for _ in range(4):
+        turned = rotate_by_bits(turned, 1)
+    assert turned.tobytes() == z.tobytes()
+    energy = (z**2).sum(axis=-1)
+    assert np.array_equal((rotate_by_bits(z, bits) ** 2).sum(axis=-1), energy)
+    assert np.array_equal((rotate_by_bits(z, bits, inverse=True) ** 2).sum(axis=-1), energy)

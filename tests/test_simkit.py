@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmmsim import simkit
 from dmmsim.channel import ChannelParams, ebn0_from_esn0
-from dmmsim.ldpc import LdpcCode, RepetitionCode, rep_combine
+from dmmsim.ldpc import LdpcCode, RepetitionCode, encode, rep_combine
 from dmmsim.modem import (
     Constellation,
     demap_inner_llr,
@@ -258,6 +260,21 @@ def test_outer_rebuild_modes_run():
         assert np.array_equal(t.v2_hat, t.v2)
 
 
+def test_rebuilt_rotation_bits_equal_reencode_on_desk_frames():
+    # The receiver takes a converged outer decode as the rebuilt codeword
+    # and re-encodes only a failed one; both must equal re-encoding always.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_scale.json")
+    converged = set()
+    for esn0_db in (-1.5, -1.0, 0.5):
+        for fi in range(24):
+            params, *_, y = simkit._dmm_front_end(cfg, fi, esn0_db)
+            _llr, c2_hat, v2_hat, _iters, conv = simkit._outer_stage(cfg, y, params)
+            always = np.repeat(encode(cfg.outer.base, c2_hat), cfg.outer.rep_factor)
+            assert v2_hat.dtype == always.dtype and np.array_equal(v2_hat, always)
+            converged.add(conv)
+    assert converged == {True, False}  # both branches ran
+
+
 def test_frame_stream_domains_distinct():
     a = frame_stream(1, 0, 0)
     b = frame_stream(1, 0, 1)
@@ -388,6 +405,7 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "seed": -1}, "seed"),
         ({**GOOD_CONFIG, "inner_code": {"alist": 7}}, "inner_code.alist"),
         ({**GOOD_CONFIG, "esn0_grid_db": 0.5}, "esn0_grid_db"),
+        ({**GOOD_CONFIG, "esn0_grid_db": [0.5] * (simkit.MAX_GRID_POINTS + 1)}, "esn0_grid_db has 10001 points"),
         # too long to build; rejected before any allocation
         ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "n": 10**9}}, "inner_code: n_code"),
     ]
