@@ -186,7 +186,11 @@ class LdpcCode:
         indices (zero padding tolerated). Row lists, if present, are
         cross-checked against the column lists.
         """
-        lines = [ln.split() for ln in Path(path).read_text().splitlines()]
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CodeConstructionError(f"cannot read alist {path}: {exc}") from exc
+        lines = [ln.split() for ln in text.splitlines()]
         try:
             toks = [list(map(int, ln)) for ln in lines if ln]
         except ValueError as exc:

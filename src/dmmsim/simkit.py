@@ -91,8 +91,6 @@ _FIELD_RULES = (
     ("max_frames", "stop.max_frames", *_COUNT),
     ("batch_frames", "batch_frames", *_COUNT),
     ("seed", "seed", "an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64),
-    ("genie_beta", "genie_beta", "a boolean", lambda v: isinstance(v, bool)),
-    ("outer_rebuild", "outer_rebuild", "'reencode' or 'direct'", lambda v: v in ("reencode", "direct")),
 )
 
 
@@ -109,8 +107,6 @@ class SystemConfig:
     min_frame_errors: int = 50
     max_frames: int = 1_000_000
     seed: int = 0
-    genie_beta: bool = False
-    outer_rebuild: str = "reencode"
     batch_frames: int = 256
 
     def __post_init__(self):
@@ -150,13 +146,14 @@ class SystemConfig:
 @dataclass
 class FrameTrace:
     """Every stage of one frame, as produced at the transmitter and receiver.
-    The outer fields are None on a baseline frame, which has no outer stream."""
+    The outer fields are None on a baseline frame, which has no outer stream.
+    The transmit points are Constellation(es).points[2 * v1 + v2], or the
+    BPSK points of v1 on a baseline frame."""
 
     frame_index: int
     esn0_db: float
     c1: np.ndarray
     v1: np.ndarray
-    symbols: np.ndarray
     received: np.ndarray
     llr_inner: np.ndarray
     c1_hat: np.ndarray
@@ -167,7 +164,6 @@ class FrameTrace:
     llr_outer: np.ndarray = None
     c2_hat: np.ndarray = None
     v2_hat: np.ndarray = None
-    beta_hat_bits: np.ndarray = None
     iters_outer: int = None
     converged_outer: bool = None
 
@@ -185,24 +181,22 @@ def _frame_bits(cfg, frame_index, domain, k):
 
 
 def _bpsk_front_end(cfg, frame_index, esn0_db):
-    """A frame's inner bits, codeword, BPSK symbols and received sequence;
+    """A frame's inner bits, codeword and received BPSK sequence;
     the one place where its inner bits and noise are drawn."""
     params = ChannelParams.from_esn0_db(cfg.es, esn0_db)
     c1 = _frame_bits(cfg, frame_index, DOMAIN_INNER_BITS, cfg.inner.k_info)
     v1 = encode(cfg.inner, c1)
-    x1 = map_bpsk(v1, cfg.es)
-    y1 = add_noise(x1, params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
-    return params, c1, v1, x1, y1
+    y1 = add_noise(map_bpsk(v1, cfg.es), params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
+    return params, c1, v1, y1
 
 
 def _dmm_front_end(cfg, frame_index, esn0_db):
-    """The BPSK frame with its observation rotated by the outer code bits;
-    the BPSK symbols x1 are returned unrotated, for callers that keep them."""
-    params, c1, v1, x1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
+    """The BPSK frame with its observation rotated by the outer code bits."""
+    params, c1, v1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
     c2 = _frame_bits(cfg, frame_index, DOMAIN_OUTER_BITS, cfg.outer.k_info)
     v2 = rep_encode(cfg.outer, c2)
     y = rotate_by_bits(y1, v2)
-    return params, c1, v1, c2, v2, x1, y
+    return params, c1, v1, c2, v2, y
 
 
 def _outer_stage(cfg, y, params):
@@ -216,10 +210,7 @@ def _outer_stage(cfg, y, params):
     c2_hat = hard_base[cfg.outer.base.info_positions]
     # A converged decode has zero syndrome, so hard_base is the codeword
     # its info bits re-encode to; only a failed decode needs the encoder.
-    if cfg.outer_rebuild == "reencode" and not conv:
-        v2_base = encode(cfg.outer.base, c2_hat)
-    else:
-        v2_base = hard_base
+    v2_base = hard_base if conv else encode(cfg.outer.base, c2_hat)
     v2_hat = np.repeat(v2_base, cfg.outer.rep_factor)
     return llr_outer, c2_hat, v2_hat, iters, conv
 
@@ -238,21 +229,19 @@ def run_frame(cfg, frame_index, esn0_db=None):
     """One full transmit/receive cycle; decoding failure is data, not error.
 
     The received sequence is stored once (``received``) and consumed by
-    both receiver stages. With cfg.genie_beta the derotation uses the
-    true per-symbol rotation bits instead of the rebuilt ones.
+    both receiver stages: the outer stream is decoded, its rotation bits
+    ``v2_hat`` are rebuilt, and the inner stream is decoded after
+    derotating by them.
     """
     esn0_db = _resolve_esn0(cfg, esn0_db)
-    params, c1, v1, c2, v2, x1, y = _dmm_front_end(cfg, frame_index, esn0_db)
+    params, c1, v1, c2, v2, y = _dmm_front_end(cfg, frame_index, esn0_db)
     llr_outer, c2_hat, v2_hat, it2, conv2 = _outer_stage(cfg, y, params)
-    beta_bits = v2 if cfg.genie_beta else v2_hat
-    y1 = rotate_by_bits(y, beta_bits, inverse=True)
-    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y1, params)
+    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), params)
     return FrameTrace(
         frame_index=frame_index,
         esn0_db=esn0_db,
         c1=c1,
         v1=v1,
-        symbols=rotate_by_bits(x1, v2),
         received=y,
         llr_inner=llr_inner,
         c1_hat=c1_hat,
@@ -263,7 +252,6 @@ def run_frame(cfg, frame_index, esn0_db=None):
         llr_outer=llr_outer,
         c2_hat=c2_hat,
         v2_hat=v2_hat,
-        beta_hat_bits=beta_bits,
         iters_outer=it2,
         converged_outer=conv2,
     )
@@ -271,17 +259,16 @@ def run_frame(cfg, frame_index, esn0_db=None):
 
 def run_baseline_frame(cfg, frame_index, esn0_db=None):
     """Conventional BPSK with the inner code only, on the same bit and
-    noise streams as run_frame; the received sequence equals the genie
-    branch's derotated sequence bit-for-bit."""
+    noise streams as run_frame; the received sequence equals run_frame's
+    received sequence derotated by the true rotation bits, bit-for-bit."""
     esn0_db = _resolve_esn0(cfg, esn0_db)
-    params, c1, v1, x1, y = _bpsk_front_end(cfg, frame_index, esn0_db)
+    params, c1, v1, y = _bpsk_front_end(cfg, frame_index, esn0_db)
     llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y, params)
     return FrameTrace(
         frame_index=frame_index,
         esn0_db=esn0_db,
         c1=c1,
         v1=v1,
-        symbols=x1,
         received=y,
         llr_inner=llr_inner,
         c1_hat=c1_hat,
@@ -385,18 +372,17 @@ def _run_batch(cfg, esn0_db, kind, lo, hi):
 
 
 def _pair_frame(cfg, frame_index, esn0_db, affected, genie):
-    # One front end and one outer decode feed both derotation branches;
-    # when the rebuilt rotation bits are exact the branches coincide and
-    # the inner decode runs once.
-    params, c1, _v1, c2, v2, _x1, y = _dmm_front_end(cfg, frame_index, esn0_db)
-    _llr_outer, c2_hat, v2_hat, it2, _conv2 = _outer_stage(cfg, y, params)
-    _llr, c1_hat_a, it1_a, _conv = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), params)
-    if np.array_equal(v2_hat, v2):
-        c1_hat_g, it1_g = c1_hat_a, it1_a
-    else:
-        _llr, c1_hat_g, it1_g, _conv = _inner_receive(cfg, rotate_by_bits(y, v2, inverse=True), params)
-    affected.add_frame(c1, c1_hat_a, it1_a, c2, c2_hat, it2)
-    genie.add_frame(c1, c1_hat_g, it1_g, c2, c2_hat, it2)
+    # The genie branch derotates the receiver's received sequence by the
+    # true rotation bits; when the rebuilt bits are exact the branches
+    # coincide and the inner decode runs once.
+    t = run_frame(cfg, frame_index, esn0_db)
+    c1_hat, iters = t.c1_hat, t.iters_inner
+    if not np.array_equal(t.v2_hat, t.v2):
+        y1 = rotate_by_bits(t.received, t.v2, inverse=True)
+        params = ChannelParams.from_esn0_db(cfg.es, t.esn0_db)
+        _llr, c1_hat, iters, _conv = _inner_receive(cfg, y1, params)
+    affected.add_frame(t.c1, t.c1_hat, t.iters_inner, t.c2, t.c2_hat, t.iters_outer)
+    genie.add_frame(t.c1, c1_hat, iters, t.c2, t.c2_hat, t.iters_outer)
 
 
 _WORKER_CFG = None
@@ -615,8 +601,6 @@ def config_to_dict(cfg):
         "max_iter": cfg.max_iter,
         "stop": {"min_frame_errors": cfg.min_frame_errors, "max_frames": cfg.max_frames},
         "seed": cfg.seed,
-        "genie_beta": cfg.genie_beta,
-        "outer_rebuild": cfg.outer_rebuild,
         "batch_frames": cfg.batch_frames,
         "rates": {"r1": cfg.r1, "r2": cfg.r2, "eta": cfg.eta},
     }
@@ -654,7 +638,8 @@ def _code_from_entry(entry, base_dir, where):
     try:
         return _build_code(entry, base_dir, where)
     except CodeConstructionError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        field = f"{where}.alist" if isinstance(entry, dict) and "alist" in entry else where
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _build_code(entry, base_dir, where):
@@ -684,13 +669,17 @@ def load_config(path):
     Values outside the code entries are checked by SystemConfig."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse")
     _expect(isinstance(data, dict), "config root must be an object")
-    scalars = {"es", "max_iter", "seed", "genie_beta", "outer_rebuild", "batch_frames"}
+    scalars = {"es", "max_iter", "seed", "batch_frames"}
     unknown = set(data) - scalars - {"inner_code", "outer_code", "esn0_grid_db", "stop"}
     _expect(not unknown, f"unknown config fields: {sorted(unknown)}")
     for k in ("inner_code", "outer_code", "esn0_grid_db"):

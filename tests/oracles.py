@@ -159,6 +159,27 @@ def decode_bp_reference(code, llr, max_iter, early_exit=True):
     return hard, post, iters, converged
 
 
+def alist_text(code, row_lists=True, pad=False):
+    """An alist document for a code: "n m", the largest column and row
+    degrees, the column and row degrees, then the 1-based row index list
+    of every column and, with row_lists, the column index list of every
+    row. With pad, each list is filled with zeros to the largest degree."""
+    H = code.h_dense()
+    cols = [np.flatnonzero(H[:, j]) + 1 for j in range(code.n_code)]
+    rows = [np.flatnonzero(H[i]) + 1 for i in range(code.n_checks)]
+    dv, dc = max(map(len, cols)), max(map(len, rows))
+
+    def line(idx, width):
+        return " ".join(map(str, list(idx) + [0] * (width - len(idx) if pad else 0)))
+
+    out = [f"{code.n_code} {code.n_checks}", f"{dv} {dc}"]
+    out += [" ".join(str(len(c)) for c in cols), " ".join(str(len(r)) for r in rows)]
+    out += [line(c, dv) for c in cols]
+    if row_lists:
+        out += [line(r, dc) for r in rows]
+    return "\n".join(out) + "\n"
+
+
 HAMMING_H = np.array(
     [
         [1, 1, 1, 0, 1, 0, 0],

@@ -17,7 +17,7 @@ from oracles import exact_bit_posteriors, TREE_H
 from dmmsim.capacity import esn0_at_mi, mi_bpsk, mi_qpsk, rate_bound_outer
 from dmmsim.channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
 from dmmsim.ldpc import LdpcCode, decode_bp_full, encode, rep_combine
-from dmmsim.modem import Constellation
+from dmmsim.modem import Constellation, demap_inner_llr, rotate_by_bits
 from dmmsim.simkit import load_config, run_baseline_frame, run_frame, run_genie_compare
 
 pytestmark = pytest.mark.slow
@@ -63,15 +63,19 @@ def test_mi_engine(capsys):
 
 
 def test_genie_llr_identity(desk_cfg, capsys):
-    import dataclasses
-
-    cfg = dataclasses.replace(desk_cfg, genie_beta=True)
+    # derotating by the true rotation bits is the genie branch
+    s2d = ChannelParams.from_esn0_db(desk_cfg.es, -1.0).sigma2_dim
     n_frames = 100
     same = 0
     for fi in range(n_frames):
-        t = run_frame(cfg, fi, esn0_db=-1.0)
-        b = run_baseline_frame(cfg, fi, esn0_db=-1.0)
-        if np.array_equal(t.llr_inner, b.llr_inner) and np.array_equal(t.c1, b.c1):
+        t = run_frame(desk_cfg, fi, esn0_db=-1.0)
+        b = run_baseline_frame(desk_cfg, fi, esn0_db=-1.0)
+        y1 = rotate_by_bits(t.received, t.v2, inverse=True)
+        if (
+            y1.tobytes() == b.received.tobytes()
+            and demap_inner_llr(y1, desk_cfg.es, s2d).tobytes() == b.llr_inner.tobytes()
+            and np.array_equal(t.c1, b.c1)
+        ):
             same += 1
     ok = same == n_frames
     report(

@@ -197,6 +197,49 @@ def test_config_errors_exit_nonzero(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+REMOVED_OPTIONS = {"genie_beta": False, "outer_rebuild": "reencode"}
+
+
+def _unreadable_input(tmp_path, case):
+    """Config path and the text stderr must name for one unreadable input."""
+    cfg = tmp_path / "cfg.json"
+    if case == "deep":
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        return cfg, [str(cfg), "nests too deeply"]
+    if case == "config-dir":
+        return tmp_path, [str(tmp_path), "cannot be read"]
+    if case == "config-not-utf8":
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        return cfg, [str(cfg), "cannot be read"]
+    if case == "alist-dir":
+        (tmp_path / "codes").mkdir()
+        doc = {**CONFIG, "inner_code": {"alist": "codes"}}
+        needles = ["inner_code.alist", "cannot read alist"]
+    elif case == "alist-not-utf8":
+        (tmp_path / "latin1.alist").write_bytes(b"7 3\n\xe9\n")
+        doc = {**CONFIG, "outer_code": {"base": {"alist": "latin1.alist"}, "rep_factor": 4}}
+        needles = ["outer_code.base.alist", "cannot read alist"]
+    else:  # a receiver option that was removed, at a value it once took
+        doc = {**CONFIG, case: REMOVED_OPTIONS[case]}
+        needles = ["unknown config fields", case]
+    cfg.write_text(json.dumps(doc))
+    return cfg, needles
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["deep", "config-dir", "config-not-utf8", "alist-dir", "alist-not-utf8", *REMOVED_OPTIONS],
+)
+def test_unreadable_config_or_alist_exits_2(tmp_path, capsys, case):
+    cfg, needles = _unreadable_input(tmp_path, case)
+    rc = main(["ber-sweep", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
 def test_high_ber_is_not_an_error(cfg_path, tmp_path):
     # deep in the noise every frame errors; exit status must still be 0
     out = tmp_path / "noisy"

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dmmsim.ldpc import (
@@ -21,6 +21,7 @@ from dmmsim.simkit import load_config
 from oracles import (
     HAMMING_H,
     TREE_H,
+    alist_text,
     all_codewords,
     bpsk_llr_density,
     decode_bp_reference,
@@ -514,6 +515,26 @@ def test_alist_malformed(tmp_path):
     p5.write_text("7 3\n3 x\n")
     with pytest.raises(CodeConstructionError, match="non-integer"):
         LdpcCode.from_alist(p5)
+
+    # unreadable files are construction errors too
+    p6 = tmp_path / "latin1.alist"
+    p6.write_bytes(b"7 3\n\xe9\n")
+    for p in (p6, tmp_path):
+        with pytest.raises(CodeConstructionError, match="cannot read alist"):
+            LdpcCode.from_alist(p)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(code=st.one_of(SMALL_REGULAR, irregular_codes()), row_lists=st.booleans(), pad=st.booleans())
+def test_alist_write_read_roundtrip(tmp_path, code, row_lists, pad):
+    # Irregular codes have rows of unequal degree, so padding reaches the
+    # row lists too. tmp_path is shared by the examples; each rewrites the
+    # one file.
+    p = tmp_path / "code.alist"
+    p.write_text(alist_text(code, row_lists=row_lists, pad=pad))
+    again = LdpcCode.from_alist(p)
+    assert again.h_sparse == code.h_sparse
+    assert again.fingerprint() == code.fingerprint()
 
 
 def test_codewords_cover_null_space():

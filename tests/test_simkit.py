@@ -1,9 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dmmsim import simkit
 from dmmsim.channel import ChannelParams, ebn0_from_esn0
@@ -58,15 +61,12 @@ def test_config_invariants():
     with pytest.raises(ConfigError):
         small_config(outer=RepetitionCode(LdpcCode.random_regular(24, 6, 4, seed=8), 3))
     with pytest.raises(ConfigError):
-        small_config(outer_rebuild="guess")
-    with pytest.raises(ConfigError):
         small_config(esn0_grid_db=())
     with pytest.raises(ConfigError):
         small_config(max_iter=0)
     for field, value in [
         ("max_iter", 2.5),
         ("max_iter", True),
-        ("genie_beta", "yes"),
         ("es", math.nan),
         ("es", math.inf),
         ("seed", -1),
@@ -83,7 +83,6 @@ def test_noiseless_roundtrip():
         t = run_frame(cfg, fi)
         assert np.array_equal(t.c1_hat, t.c1)
         assert np.array_equal(t.c2_hat, t.c2)
-        assert np.array_equal(t.beta_hat_bits, t.v2)
         assert np.array_equal(t.v2_hat, t.v2)
         assert t.converged_inner and t.converged_outer
 
@@ -95,18 +94,22 @@ def test_frame_trace_lengths_consistent():
     assert t.v1.size == cfg.inner.n_code
     assert t.c2.size == cfg.outer.k_info
     assert t.v2.size == cfg.outer.n_code
-    assert t.symbols.shape == (cfg.inner.n_code, 2)
     assert t.received.shape == (cfg.inner.n_code, 2)
     assert t.llr_outer.size == cfg.outer.base.n_code
     assert t.llr_inner.size == cfg.inner.n_code
 
 
 def test_genie_equivalence_llr_bit_identical():
-    cfg = small_config(genie_beta=True)
+    # Derotating the received sequence by the true rotation bits recovers
+    # the BPSK baseline's received sequence and inner LLRs bit for bit.
+    cfg = small_config()
+    s2d = ChannelParams.from_esn0_db(cfg.es, -2.0).sigma2_dim
     for fi in range(30):
         t = run_frame(cfg, fi, esn0_db=-2.0)
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
-        assert np.array_equal(t.llr_inner, b.llr_inner)
+        y1 = rotate_by_bits(t.received, t.v2, inverse=True)
+        assert y1.tobytes() == b.received.tobytes()
+        assert demap_inner_llr(y1, cfg.es, s2d).tobytes() == b.llr_inner.tobytes()
         assert np.array_equal(t.c1, b.c1)
 
 
@@ -120,7 +123,7 @@ def test_received_sequence_used_twice():
     cst = Constellation(cfg.es)
     again_outer = rep_combine(cfg.outer, demap_outer_llr(t.received, cst, s2d))
     assert np.array_equal(again_outer, t.llr_outer)
-    y1 = rotate_by_bits(t.received, t.beta_hat_bits, inverse=True)
+    y1 = rotate_by_bits(t.received, t.v2_hat, inverse=True)
     again_inner = demap_inner_llr(y1, cfg.es, s2d)
     assert np.array_equal(again_inner, t.llr_inner)
 
@@ -130,8 +133,7 @@ def test_symbols_follow_mapping():
     t = run_frame(cfg, 1)
     pts = Constellation(cfg.es).points
     want = np.array([pts[2 * int(a) + int(b)] for a, b in zip(t.v1, t.v2)])
-    assert np.array_equal(t.symbols, want)
-    assert np.array_equal(t.received, t.symbols)  # noiseless
+    assert np.array_equal(t.received, want)  # noiseless
 
 
 def test_seed_isolation_noise_independent_of_outer_stream():
@@ -209,19 +211,26 @@ def test_sweep_zero_errors_reports_bit_budget():
 
 
 def test_baseline_matches_genie_inner_branch():
-    cfg = small_config(genie_beta=True, esn0_grid_db=(-2.0,), max_frames=16, min_frame_errors=1000)
+    cfg = small_config(esn0_grid_db=(-2.0,), max_frames=16, min_frame_errors=1000)
     base = run_bpsk_baseline(cfg)
     assert base.eta == pytest.approx(0.5)
     assert base.mode == "baseline"
     pb = base.points[0]
+    params = ChannelParams.from_esn0_db(cfg.es, -2.0)
     # frame-by-frame: baseline decode equals the genie-derotated decode
     for fi in range(5):
         t = run_frame(cfg, fi, esn0_db=-2.0)
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
-        assert np.array_equal(t.c1_hat, b.c1_hat)
-        # a baseline frame has no outer stream and sends unrotated BPSK
+        y1 = rotate_by_bits(t.received, t.v2, inverse=True)
+        assert y1.tobytes() == b.received.tobytes()
+        llr, c1_hat, iters, _conv = simkit._inner_receive(cfg, y1, params)
+        assert llr.tobytes() == b.llr_inner.tobytes()
+        assert np.array_equal(c1_hat, b.c1_hat) and iters == b.iters_inner
+        # a baseline frame has no outer stream
         assert b.c2 is None and b.v2_hat is None and b.iters_outer is None
-        assert np.array_equal(b.symbols, map_bpsk(b.v1, cfg.es))
+    # and sends unrotated BPSK
+    b = run_baseline_frame(cfg, 0, esn0_db=math.inf)
+    assert np.array_equal(b.received, map_bpsk(b.v1, cfg.es))
     assert pb.bits_outer == 0
     assert pb.ber_outer == 0.0
     assert pb.ebn0_db == ebn0_from_esn0(-2.0, 0.5)
@@ -252,12 +261,16 @@ def test_genie_compare_noiseless_coincide():
     assert gp.insignificant
 
 
-def test_outer_rebuild_modes_run():
-    for mode in ("reencode", "direct"):
-        cfg = small_config(outer_rebuild=mode, esn0_grid_db=(math.inf,))
-        t = run_frame(cfg, 0)
-        assert np.array_equal(t.c1_hat, t.c1)
-        assert np.array_equal(t.v2_hat, t.v2)
+def test_sweep_genie_branch_equals_bpsk_baseline():
+    # The genie branch of the paired sweep decodes the baseline's received
+    # sequence, so its inner counters are the baseline's, frame for frame.
+    cfg = small_config(esn0_grid_db=(-2.0,), max_frames=16, min_frame_errors=1000)
+    gp = run_genie_compare(cfg).points[0]
+    base = run_bpsk_baseline(cfg).points[0]
+    assert gp.affected.errs_outer > 0  # so some frames ran the second inner decode
+    assert gp.genie.errs_inner > 0
+    for field in ("frames", "bits_inner", "errs_inner", "iters_inner_mean"):
+        assert getattr(gp.genie, field) == getattr(base, field)
 
 
 def test_rebuilt_rotation_bits_equal_reencode_on_desk_frames():
@@ -336,8 +349,6 @@ GOOD_CONFIG = {
     "max_iter": 30,
     "stop": {"min_frame_errors": 5, "max_frames": 64},
     "seed": 11,
-    "genie_beta": False,
-    "outer_rebuild": "reencode",
     "batch_frames": 8,
 }
 
@@ -373,8 +384,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.max_iter == 50
     assert cfg.min_frame_errors == 50
     assert cfg.max_frames == 1_000_000
-    assert cfg.outer_rebuild == "reencode"
-    assert not cfg.genie_beta
 
 
 def test_load_config_field_errors(tmp_path):
@@ -385,7 +394,9 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "esn0_grid_db": ["x"]}, "esn0_grid_db"),
         ({**GOOD_CONFIG, "stop": {"min_frame_errors": 0}}, "stop.min_frame_errors"),
         ({**GOOD_CONFIG, "stop": {"foo": 1}}, "stop"),
-        ({**GOOD_CONFIG, "outer_rebuild": "maybe"}, "outer_rebuild"),
+        # receiver options that no longer exist are unknown, not ignored
+        ({**GOOD_CONFIG, "genie_beta": False}, "unknown config fields: ['genie_beta']"),
+        ({**GOOD_CONFIG, "outer_rebuild": "reencode"}, "unknown config fields: ['outer_rebuild']"),
         ({**GOOD_CONFIG, "inner_code": {"n": 96}}, "inner_code"),
         ({**GOOD_CONFIG, "inner_code": {"alist": "missing.alist"}}, "alist"),
         ({**GOOD_CONFIG, "outer_code": {"base": GOOD_CONFIG["outer_code"]["base"], "rep_factor": 0}}, "rep_factor"),
@@ -410,8 +421,57 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "n": 10**9}}, "inner_code: n_code"),
     ]
     for data, needle in cases:
-        with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
+        with pytest.raises(ConfigError, match=re.escape(needle)):
             load_config(write_cfg(tmp_path, data))
+
+
+# JSON values a malformed document may hold anywhere
+JSON_POOL = st.sampled_from(
+    [None, True, False, "", "x", [], [0.5, "x"], {}, {"alist": ""}, {"n": 96},
+     -1, -0.5, 0, 2, math.nan, 1e308, 2**64]
+)
+
+# Paths of the GOOD_CONFIG entries a mutation may act on, nested ones too.
+CONFIG_PATHS = [(k,) for k in GOOD_CONFIG]
+CONFIG_PATHS += [(k, sub) for k, v in GOOD_CONFIG.items() if isinstance(v, dict) for sub in v]
+CONFIG_PATHS += [("outer_code", "base", k) for k in GOOD_CONFIG["outer_code"]["base"]]
+
+
+@st.composite
+def malformed_configs(draw):
+    """GOOD_CONFIG with one to three entries dropped, added or replaced.
+    A code length is replaced only by an integer of at most 256, so no
+    example builds a large code."""
+    doc = json.loads(json.dumps(GOOD_CONFIG))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(CONFIG_PATHS))
+        obj = doc
+        for p in parents:
+            obj = obj.get(p) if isinstance(obj, dict) else None
+        if not isinstance(obj, dict):
+            continue
+        action = draw(st.sampled_from(["drop", "add", "replace"]))
+        if action == "drop":
+            obj.pop(key, None)
+        elif action == "add":
+            obj["unknown_" + key] = draw(JSON_POOL)
+        elif key == "n":
+            obj[key] = draw(st.integers(-2, 256))
+        else:
+            obj[key] = draw(JSON_POOL)
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=malformed_configs())
+@example(doc={**GOOD_CONFIG, "inner_code": {"alist": ""}})  # the config's directory
+def test_malformed_config_raises_only_config_error(tmp_path, doc):
+    # tmp_path is shared by the examples; each rewrites the one file
+    try:
+        cfg = load_config(write_cfg(tmp_path, doc))
+    except ConfigError:
+        return
+    assert isinstance(cfg, SystemConfig)
 
 
 def test_load_config_bad_json(tmp_path):
