@@ -82,6 +82,22 @@ def _edge_arrays(h_sparse, n_code):
     return rows, cols
 
 
+def _alist_lists(toks, pos, degrees):
+    """One index list per entry of ``degrees`` from the tokenised lines
+    ``toks[pos:]``, and the position after the last one taken. A blank
+    line is the list of a degree-0 entry and is skipped elsewhere; the
+    result is short if the lines run out."""
+    lists = []
+    for d in degrees:
+        while d > 0 and pos < len(toks) and not toks[pos]:
+            pos += 1
+        if pos == len(toks):
+            break
+        lists.append(toks[pos])
+        pos += 1
+    return lists, pos
+
+
 class LdpcCode:
     """Immutable binary code defined by a full-row-rank parity-check matrix.
 
@@ -183,23 +199,24 @@ class LdpcCode:
 
         Expected layout: "n m", "max_col_deg max_row_deg", the n column
         degrees, the m row degrees, then n column lists of 1-based row
-        indices (zero padding tolerated). Row lists, if present, are
-        cross-checked against the column lists.
+        indices (zero padding tolerated), one a line. Row lists, if
+        present, are cross-checked against the column lists. Blank lines
+        are skipped, except that an unpadded degree-0 list is a blank line.
         """
         try:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise CodeConstructionError(f"cannot read alist {path}: {exc}") from exc
-        lines = [ln.split() for ln in text.splitlines()]
         try:
-            toks = [list(map(int, ln)) for ln in lines if ln]
+            toks = [list(map(int, ln.split())) for ln in text.splitlines()]
         except ValueError as exc:
             raise CodeConstructionError(f"non-integer token in alist {path}") from exc
+        head = [i for i, t in enumerate(toks) if t][:4]
         try:
-            n, m = toks[0]
-            dv_max, dc_max = toks[1]
-            col_deg = toks[2]
-            row_deg = toks[3]
+            n, m = toks[head[0]]
+            dv_max, dc_max = toks[head[1]]
+            col_deg = toks[head[2]]
+            row_deg = toks[head[3]]
         except (IndexError, ValueError) as exc:
             raise CodeConstructionError(f"malformed alist header in {path}") from exc
         if len(col_deg) != n or len(row_deg) != m:
@@ -208,11 +225,12 @@ class LdpcCode:
             raise CodeConstructionError("alist degree sums disagree")
         if max(col_deg) > dv_max or max(row_deg) > dc_max:
             raise CodeConstructionError("alist degree exceeds declared maximum")
-        if len(toks) < 4 + n:
+        col_lists, pos = _alist_lists(toks, head[3] + 1, col_deg)
+        if len(col_lists) < n:
             raise CodeConstructionError("alist column lists truncated")
         edges = []
         for j in range(n):
-            entries = [e for e in toks[4 + j] if e != 0]
+            entries = [e for e in col_lists[j] if e != 0]
             if len(entries) != col_deg[j]:
                 raise CodeConstructionError(
                     f"alist column {j} lists {len(entries)} rows, expected {col_deg[j]}"
@@ -221,7 +239,7 @@ class LdpcCode:
                 if not 1 <= e <= m:
                     raise CodeConstructionError(f"alist column {j} row index {e} out of range")
                 edges.append((e - 1, j))
-        row_lists = toks[4 + n: 4 + n + m]
+        row_lists, _ = _alist_lists(toks, pos, row_deg)
         if len(row_lists) == m:
             alt = []
             for i in range(m):

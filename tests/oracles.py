@@ -6,6 +6,7 @@ values in the test files are either frozen from these oracles or
 asserted against them at run time.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -157,6 +158,48 @@ def decode_bp_reference(code, llr, max_iter, early_exit=True):
         if it < max_iter:
             v2c = np.clip(post[ec] - c2v, -LLR_CAP, LLR_CAP)
     return hard, post, iters, converged
+
+
+def _panel_nodes_reference(lo, hi, n_panels, order=16):
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wts = (half[:, None] * w[None, :]).ravel()
+    return nodes, wts
+
+
+def mi_qpsk_reference(esn0_db):
+    """QPSK mutual information in bits from the full four-term density on
+    each 4 M-element chunk of the 2-D Gauss-Legendre panel grid: the
+    former body of ``capacity.mi_qpsk``, kept to pin the current one."""
+    s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
+    if s2 == 0.0:
+        return 2.0
+    sig = math.sqrt(s2)
+    a = 1.0 / math.sqrt(2.0)
+    lo, hi = -a - 12.0 * sig, a + 12.0 * sig
+    n_panels = int(min(max(math.ceil((hi - lo) / sig), 8), 360))
+    nodes, wts = _panel_nodes_reference(lo, hi, n_panels)
+    gp = np.exp(-((nodes - a) ** 2) / (2.0 * s2))
+    gm = np.exp(-((nodes + a) ** 2) / (2.0 * s2))
+    norm = 0.25 / (2.0 * math.pi * s2)
+    hy = 0.0
+    chunk = max(1, 4_000_000 // nodes.size)
+    for i0 in range(0, nodes.size, chunk):
+        sl = slice(i0, i0 + chunk)
+        f = norm * (
+            gp[sl][:, None] * gp[None, :]
+            + gp[sl][:, None] * gm[None, :]
+            + gm[sl][:, None] * gp[None, :]
+            + gm[sl][:, None] * gm[None, :]
+        )
+        w2 = wts[sl][:, None] * wts[None, :]
+        contrib = np.where(f > 0.0, -f * np.log2(f, where=f > 0.0, out=np.zeros_like(f)), 0.0)
+        hy += float((w2 * contrib).sum())
+    hn = math.log2(2.0 * math.pi * math.e * s2)
+    return min(max(hy - hn, 0.0), 2.0)
 
 
 def alist_text(code, row_lists=True, pad=False):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from dmmsim import capacity
 from dmmsim.capacity import (
     esn0_at_mi,
     eta_total,
@@ -12,6 +15,7 @@ from dmmsim.capacity import (
     rate_bound_outer,
     write_mi_csv,
 )
+from oracles import mi_qpsk_reference
 
 # Frozen from the independent quadrature + bisection oracle
 # (two-Gaussian mixture entropy, 1-D noise variance sigma_n^2 / 2).
@@ -65,6 +69,52 @@ def test_qpsk_doubling_identity_20_points():
         q = mi_qpsk(s).mi_bits
         b = mi_bpsk(s - LOG10_2_DB).mi_bits
         assert abs(q - 2.0 * b) <= 1e-6
+
+
+# Deep noise, the half-bit region, the high-SNR bracket, the 360-panel cap
+# (60 dB), the last finite density normaliser (3080 dB), normalisers that
+# overflow to inf (3100, 3200 dB) and the noiseless channel.
+ORACLE_ESN0_DB = [-3000.0, -300.0, -40.0, *np.arange(-6.0, 6.25, 0.5).tolist(),
+                  20.0, 30.0, 40.0, 45.0, 60.0, 3080.0, 3100.0, 3200.0, math.inf]
+
+
+@pytest.mark.parametrize("esn0_db", ORACLE_ESN0_DB)
+def test_mi_qpsk_matches_reference(esn0_db):
+    with np.errstate(all="ignore"):  # the reference overflows on the way to its limits
+        want = mi_qpsk_reference(esn0_db)
+    assert abs(mi_qpsk(esn0_db).mi_bits - want) <= 1e-12
+
+
+@pytest.mark.parametrize("target", [0.5, 1.5])
+def test_qpsk_root_matches_reference(target, monkeypatch):
+    evals = []
+
+    def counted(esn0_db, _real=capacity.mi_qpsk):
+        evals.append(esn0_db)
+        return _real(esn0_db)
+
+    monkeypatch.setattr(capacity, "mi_qpsk", counted)
+    root = esn0_at_mi(target, "qpsk")
+    ref_evals = []
+
+    def ref(esn0_db):
+        ref_evals.append(esn0_db)
+        return mi_qpsk_reference(esn0_db) - target
+
+    assert abs(root - brentq(ref, -40.0, 40.0, xtol=1e-9)) <= 1e-12
+    assert len(evals) == len(ref_evals)
+
+
+def test_mi_qpsk_peak_memory_is_bounded():
+    # 60 dB hits the 360-panel cap: a 5760 x 5760 node grid, 253 MiB if
+    # formed whole; the row blocks keep the peak near 9 MiB.
+    tracemalloc.start()
+    try:
+        mi_qpsk(60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_mi_point_ebn0_consistency():

@@ -1,10 +1,15 @@
-"""Golden CSV digests for the three sweep modes of the CLI.
+"""Golden CSV digests for the three sweep modes and the capacity
+command of the CLI.
 
-Each case runs `dmmsim.cli.main` on a copy of the desk-scale
+Each sweep case runs `dmmsim.cli.main` on a copy of the desk-scale
 configuration with a short stopping rule and two grid points (one in
 the waterfall, one error-free), and compares the SHA-256 of the CSV it
 writes with a frozen digest. Every refactor of the frame pipeline must
 reproduce these bytes for any worker count.
+
+Each capacity case runs `dmmsim capacity --grid=-6:6:0.1 --half-bit`
+for one modulation and compares the CSV digest and the half-bit line;
+every rewrite of the MI quadrature must reproduce both.
 """
 
 import hashlib
@@ -55,3 +60,28 @@ def test_csv_digest(mode, workers, short_config, tmp_path):
     argv = [args[0], str(short_config), *args[1:], GRID, "--workers", str(workers), "--out-dir", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest
+
+
+CAPACITY_GRID = "--grid=-6:6:0.1"
+
+# modulation -> (SHA-256 of capacity_<modulation>.csv, half-bit stdout line)
+CAPACITY_GOLDEN = {
+    "bpsk": (
+        "ac349896f065b752391fec7f29c3a9ead668b2d91c1e4c408a15ed3a040a03c2",
+        "mi = 0.5 bit at Es/N0 = -2.8232 dB, Eb/N0 = 0.1871 dB",
+    ),
+    "qpsk": (
+        "72fd60f056b65f9f120e37d341c6329f93b82b81aa6af08a012cebb8f744f479",
+        "mi = 0.5 bit at Es/N0 = -3.8044 dB, Eb/N0 = -0.7941 dB",
+    ),
+}
+
+
+@pytest.mark.parametrize("modulation", sorted(CAPACITY_GOLDEN))
+def test_capacity_digest(modulation, tmp_path, capsys):
+    digest, half_bit_line = CAPACITY_GOLDEN[modulation]
+    argv = ["capacity", "--modulation", modulation, CAPACITY_GRID, "--half-bit", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    csv_bytes = (tmp_path / f"capacity_{modulation}.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == digest
+    assert capsys.readouterr().out.splitlines()[-1] == half_bit_line

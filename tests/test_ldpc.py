@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dmmsim.ldpc import (
@@ -524,12 +524,33 @@ def test_alist_malformed(tmp_path):
             LdpcCode.from_alist(p)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(code=st.one_of(SMALL_REGULAR, irregular_codes()), row_lists=st.booleans(), pad=st.booleans())
+@st.composite
+def codes_with_empty_column(draw):
+    """An irregular code with an all-zero column inserted: an unpadded
+    alist writes that column's row list as a blank line."""
+    h = draw(irregular_codes()).h_dense()
+    j = draw(st.integers(0, h.shape[1]))
+    return LdpcCode.from_dense(np.insert(h, j, 0, axis=1))
+
+
+# column 2 is unchecked
+EMPTY_COLUMN_CODE = LdpcCode.from_dense(np.array([[1, 1, 0, 1, 0], [0, 1, 0, 0, 1]], dtype=np.uint8))
+
+
+@settings(max_examples=90, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    code=st.one_of(SMALL_REGULAR, irregular_codes(), codes_with_empty_column()),
+    row_lists=st.booleans(),
+    pad=st.booleans(),
+)
+@example(code=EMPTY_COLUMN_CODE, row_lists=True, pad=False)
+@example(code=EMPTY_COLUMN_CODE, row_lists=False, pad=False)
+@example(code=EMPTY_COLUMN_CODE, row_lists=False, pad=True)
 def test_alist_write_read_roundtrip(tmp_path, code, row_lists, pad):
     # Irregular codes have rows of unequal degree, so padding reaches the
-    # row lists too. tmp_path is shared by the examples; each rewrites the
-    # one file.
+    # row lists too; a degree-0 column's list is all zeros when padded and
+    # a blank line when not. tmp_path is shared by the examples; each
+    # rewrites the one file.
     p = tmp_path / "code.alist"
     p.write_text(alist_text(code, row_lists=row_lists, pad=pad))
     again = LdpcCode.from_alist(p)

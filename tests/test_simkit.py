@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -426,10 +427,12 @@ def test_load_config_field_errors(tmp_path):
 
 
 # JSON values a malformed document may hold anywhere
+# Each draw is a fresh copy: a later mutation may write into a drawn
+# dict, and a shared one would leak into other examples or contain itself.
 JSON_POOL = st.sampled_from(
     [None, True, False, "", "x", [], [0.5, "x"], {}, {"alist": ""}, {"n": 96},
      -1, -0.5, 0, 2, math.nan, 1e308, 2**64]
-)
+).map(copy.deepcopy)
 
 # Paths of the GOOD_CONFIG entries a mutation may act on, nested ones too.
 CONFIG_PATHS = [(k,) for k in GOOD_CONFIG]
