@@ -8,8 +8,10 @@ genuine two-dimensional four-point mixture so the I/Q doubling identity
 is a cross-check between independent integration routes, not a tautology:
 its density is formed and its log taken on the 2-D Gauss-Legendre node
 grid, in row blocks of at most 2**20 elements (8 MiB), each reduced by
-two matrix-vector products. Symbol energy is normalized to 1; only the
-ratio enters.
+two matrix-vector products. The node grid and the density are mirror
+symmetric on both axes, so only the quadrant of positive nodes is formed,
+less the nodes where the density underflows to 0. Symbol energy is
+normalized to 1; only the ratio enters.
 """
 
 import functools
@@ -33,19 +35,26 @@ def _mi_point(esn0_db, mi):
     return MiPoint(esn0_db, mi, ebn0)
 
 
+# Per-dimension noise standard deviation below which BPSK carries 1 bit.
+_BPSK_SIG_NOISELESS = 1e-6
+
+
 def mi_bpsk(esn0_db):
     """Mutual information of equiprobable BPSK at the given Es/N0 (dB).
 
     I = H(Y) - H(N) with Y an equiprobable two-Gaussian mixture on the
     real line; H(Y) by adaptive quadrature over +-12 standard
-    deviations (absolute tolerance well under 1e-9). A noiseless
-    channel (Es/N0 = +inf, or so large that the noise variance
-    underflows to 0) carries the full 1 bit.
+    deviations (absolute tolerance well under 1e-9). Once the noise
+    standard deviation falls below _BPSK_SIG_NOISELESS (about 117 dB,
+    inside the band from 73 dB up where the quadrature gives exactly 1.0)
+    the channel carries the full 1 bit without quadrature: further up the
+    integrand is two spikes that ``quad`` cannot resolve, so it warns and,
+    above about 324 dB, falls short of 1. Es/N0 = +inf is such a channel.
     """
     s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
-    if s2 == 0.0:
-        return _mi_point(esn0_db, 1.0)
     sig = math.sqrt(s2)
+    if sig < _BPSK_SIG_NOISELESS:
+        return _mi_point(esn0_db, 1.0)
     norm = 0.5 / math.sqrt(2.0 * math.pi * s2)
 
     def neg_flog2f(y):
@@ -97,12 +106,18 @@ def mi_qpsk(esn0_db):
 
     With h = g(+a) + g(-a) the per-axis Gaussian pair at the nodes, the
     mixture density on the node grid is f_ij = norm * h_i * h_j, so
-    H(Y) = -norm * u' log2(F) u with u = weights * h. F is formed and
-    its log taken in place in row blocks of at most _QPSK_BLOCK
-    elements, then reduced by two matrix-vector products. The log is
-    taken of the 2-D density, not split into per-axis terms, so the I/Q
-    doubling identity against ``mi_bpsk`` stays a check between two
-    integration routes.
+    H(Y) = -norm * u' log2(F) u with u = weights * h. The panels span
+    [-hi, hi], so the nodes come in mirror pairs (equal to about 1e-16),
+    and h is even: the four quadrants of u_i u_j log2 f_ij are equal, and
+    the sum is taken over the positive nodes, the upper half of the
+    grid, and multiplied by 4. Nodes where h underflows to 0 add exactly
+    nothing and are dropped first; at very high Es/N0 (300 dB, say) none
+    is left, H(Y) is 0 and the clamp gives 2 bits. F is formed and its
+    log taken in place in row blocks of at most _QPSK_BLOCK elements,
+    then reduced by two matrix-vector products. The log is taken of the
+    2-D density, not split into per-axis terms, so the I/Q doubling
+    identity against ``mi_bpsk`` stays a check between two integration
+    routes.
     """
     s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
     if s2 == 0.0:
@@ -115,19 +130,26 @@ def mi_qpsk(esn0_db):
     lo, hi = -a - 12.0 * sig, a + 12.0 * sig
     n_panels = int(min(max(math.ceil((hi - lo) / sig), 8), 360))
     nodes, wts = _panel_nodes(lo, hi, n_panels)
+    # the nodes are mirror pairs and h is even, so the four quadrants of the
+    # sum are equal: keep the positive nodes and take 4 times their sum
+    half = nodes.size // 2
+    nodes, wts = nodes[half:], wts[half:]
     # far from both points the exponent overflows to -inf, and exp gives the right 0
     with np.errstate(over="ignore"):
         h = np.exp(-((nodes - a) ** 2) / (2.0 * s2)) + np.exp(-((nodes + a) ** 2) / (2.0 * s2))
-    u = wts * h
-    rows = max(1, _QPSK_BLOCK // nodes.size)
-    block = np.empty((min(rows, nodes.size), nodes.size))
+    keep = h > 0.0
+    h = h[keep]
+    u = wts[keep] * h
     acc = 0.0
-    for i0 in range(0, nodes.size, rows):
-        hb = h[i0:i0 + rows]
-        f = np.multiply.outer(norm * hb, h, out=block[:hb.size])
-        np.log2(f, out=f, where=f > 0.0)
-        acc += float(u[i0:i0 + hb.size] @ (f @ u))
-    hy = -norm * acc
+    if h.size:
+        rows = max(1, _QPSK_BLOCK // h.size)
+        block = np.empty((min(rows, h.size), h.size))
+        for i0 in range(0, h.size, rows):
+            hb = h[i0:i0 + rows]
+            f = np.multiply.outer(norm * hb, h, out=block[:hb.size])
+            np.log2(f, out=f, where=f > 0.0)
+            acc += float(u[i0:i0 + hb.size] @ (f @ u))
+    hy = -4.0 * norm * acc
     hn = math.log2(2.0 * math.pi * math.e * s2)
     return _mi_point(esn0_db, min(max(hy - hn, 0.0), 2.0))
 

@@ -260,10 +260,12 @@ class LdpcCode:
 
         (n_code, row_degree, col_degree, seed) fully determines the
         matrix. Duplicate sockets are swapped apart. If the regular
-        graph is rank-deficient (always the case for even column
-        degree), single rows are redrawn with fresh columns until the
-        matrix reaches full row rank, so a few columns may deviate from
-        col_degree by one or two.
+        graph is rank-deficient, single rows are redrawn with fresh
+        columns until the matrix reaches full row rank, so a few columns
+        may deviate from col_degree by one or two. A graph whose column
+        degrees are all even is rank-deficient (its rows sum to zero), so
+        it goes straight to the redraw without being built or
+        row-reduced; this is always so for an even col_degree at first.
         """
         if n_code < 2 or row_degree < 1 or col_degree < 1:
             raise CodeConstructionError("degrees and length must be positive")
@@ -300,20 +302,24 @@ class LdpcCode:
         else:
             raise CodeConstructionError("could not separate duplicate edges")
         for _ in range(60):
-            try:
-                code = cls(list(zip(rows.tolist(), cols.tolist())), n_code, m)
-                code.origin = {
-                    "kind": "random_regular",
-                    "n": n_code,
-                    "row_degree": row_degree,
-                    "col_degree": col_degree,
-                    "seed": seed,
-                }
-                return code
-            except CodeConstructionError:
-                r = int(rng.integers(m))
-                slots = np.nonzero(rows == r)[0]
-                cols[slots] = rng.choice(n_code, size=slots.size, replace=False)
+            # with every column degree even the rows sum to zero: rank < m
+            if (np.bincount(cols, minlength=n_code) & 1).any():
+                try:
+                    code = cls(list(zip(rows.tolist(), cols.tolist())), n_code, m)
+                except CodeConstructionError:
+                    pass
+                else:
+                    code.origin = {
+                        "kind": "random_regular",
+                        "n": n_code,
+                        "row_degree": row_degree,
+                        "col_degree": col_degree,
+                        "seed": seed,
+                    }
+                    return code
+            r = int(rng.integers(m))
+            slots = np.nonzero(rows == r)[0]
+            cols[slots] = rng.choice(n_code, size=slots.size, replace=False)
         raise CodeConstructionError(
             f"failed to reach full rank for (n={n_code}, {row_degree}, {col_degree}, seed={seed})"
         )

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from dmmsim import capacity
@@ -71,11 +74,13 @@ def test_qpsk_doubling_identity_20_points():
         assert abs(q - 2.0 * b) <= 1e-6
 
 
-# Deep noise, the half-bit region, the high-SNR bracket, the 360-panel cap
-# (60 dB), the last finite density normaliser (3080 dB), normalisers that
+# Deep noise, the half-bit region, the high-SNR bracket (40 dB, where the
+# trim of underflowed nodes keeps 809 of 1792 on the half axis), the
+# 360-panel cap (60 dB, 144 of 2880 kept), no node kept (300 dB), the last
+# finite density normaliser (3080 dB, no node kept), normalisers that
 # overflow to inf (3100, 3200 dB) and the noiseless channel.
 ORACLE_ESN0_DB = [-3000.0, -300.0, -40.0, *np.arange(-6.0, 6.25, 0.5).tolist(),
-                  20.0, 30.0, 40.0, 45.0, 60.0, 3080.0, 3100.0, 3200.0, math.inf]
+                  20.0, 30.0, 40.0, 45.0, 60.0, 300.0, 3080.0, 3100.0, 3200.0, math.inf]
 
 
 @pytest.mark.parametrize("esn0_db", ORACLE_ESN0_DB)
@@ -83,6 +88,22 @@ def test_mi_qpsk_matches_reference(esn0_db):
     with np.errstate(all="ignore"):  # the reference overflows on the way to its limits
         want = mi_qpsk_reference(esn0_db)
     assert abs(mi_qpsk(esn0_db).mi_bits - want) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-40.0, 30.0))
+def test_mi_qpsk_matches_reference_property(esn0_db):
+    with np.errstate(all="ignore"):
+        want = mi_qpsk_reference(esn0_db)
+    assert abs(mi_qpsk(esn0_db).mi_bits - want) <= 1e-12
+
+
+@pytest.mark.parametrize("esn0_db", [140.0, 200.0, 300.0, 330.0])
+def test_mi_bpsk_high_snr_is_one_without_warnings(esn0_db):
+    # quad warned from 140 dB and fell below 1 from 324 dB
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mi_bpsk(esn0_db).mi_bits == 1.0
 
 
 @pytest.mark.parametrize("target", [0.5, 1.5])
@@ -107,14 +128,16 @@ def test_qpsk_root_matches_reference(target, monkeypatch):
 
 def test_mi_qpsk_peak_memory_is_bounded():
     # 60 dB hits the 360-panel cap: a 5760 x 5760 node grid, 253 MiB if
-    # formed whole; the row blocks keep the peak near 9 MiB.
-    tracemalloc.start()
-    try:
-        mi_qpsk(60.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    # formed whole. The quadrant keeps 144 nodes there; 40 dB keeps 809,
+    # about the most any Es/N0 keeps (a 5 MiB block).
+    for esn0_db in (40.0, 60.0):
+        tracemalloc.start()
+        try:
+            mi_qpsk(esn0_db)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, esn0_db
 
 
 def test_mi_point_ebn0_consistency():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,19 @@ def test_capacity_noiseless_grid_point(tmp_path, modulation, bits):
     assert main(["capacity", "--grid", "inf", "--modulation", modulation, "--out-dir", str(tmp_path)]) == 0
     rows = (tmp_path / f"capacity_{modulation}.csv").read_text().splitlines()
     assert rows[1:] == [f"inf,{bits:.9f},inf"]
+
+
+def test_capacity_high_snr_bpsk_is_quiet(tmp_path):
+    # in a child process, so a warning would reach its stderr
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "dmmsim.cli", "capacity", "--grid=300", "--out-dir", str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = (tmp_path / "capacity_bpsk.csv").read_text().splitlines()
+    assert rows[1:] == ["300.0000,1.000000000,300.0000"]
 
 
 def test_capacity_bad_grid_exits_nonzero(tmp_path, capsys):

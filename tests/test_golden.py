@@ -9,7 +9,10 @@ reproduce these bytes for any worker count.
 
 Each capacity case runs `dmmsim capacity --grid=-6:6:0.1 --half-bit`
 for one modulation and compares the CSV digest and the half-bit line;
-every rewrite of the MI quadrature must reproduce both.
+every rewrite of the MI quadrature must reproduce both. The high-SNR
+cases pin the CSV of `dmmsim capacity --grid=10:150:10`, where the
+Gaussians are narrower than the node spacing and the BPSK integrand is
+two spikes.
 """
 
 import hashlib
@@ -85,3 +88,20 @@ def test_capacity_digest(modulation, tmp_path, capsys):
     csv_bytes = (tmp_path / f"capacity_{modulation}.csv").read_bytes()
     assert hashlib.sha256(csv_bytes).hexdigest() == digest
     assert capsys.readouterr().out.splitlines()[-1] == half_bit_line
+
+
+HIGH_SNR_GRID = "--grid=10:150:10"
+
+# modulation -> SHA-256 of capacity_<modulation>.csv on HIGH_SNR_GRID
+HIGH_SNR_GOLDEN = {
+    "bpsk": "7ecde5228a194ae2145fb157a3ec6683e8753e8d8c7e1d990f698ada25d96f48",
+    "qpsk": "21757e6f255c3d203c41ca27cccb4782e3ad151348b762fcea7ce6dc33dce5f3",
+}
+
+
+@pytest.mark.parametrize("modulation", sorted(HIGH_SNR_GOLDEN))
+def test_capacity_high_snr_digest(modulation, tmp_path):
+    argv = ["capacity", "--modulation", modulation, HIGH_SNR_GRID, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    csv_bytes = (tmp_path / f"capacity_{modulation}.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == HIGH_SNR_GOLDEN[modulation]

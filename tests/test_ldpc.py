@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dmmsim import ldpc
 from dmmsim.ldpc import (
     LLR_CAP,
     MAX_CODE_LENGTH,
@@ -425,6 +426,35 @@ def test_random_regular_even_col_degree_near_regular():
     cdeg = np.bincount(ec, minlength=48)
     assert cdeg.sum() == 192
     assert np.max(np.abs(cdeg - 4)) <= 4
+
+
+# Fingerprints of the desk outer base code, the desk inner code and a small
+# code of column degree 2, frozen before all-even graphs skipped the build.
+RANDOM_REGULAR_FINGERPRINTS = {
+    (1008, 6, 4, 2): "879cb1d7bb4acd88904629da62ec33b7b7a952fd3028449469624e96a8f40fb9",
+    (4032, 6, 3, 1): "86d3a6a634638837e2d5cc002d0cf59c24179cae8a8a8fc4010585c482f8a178",
+    (48, 6, 2, 5): "444aa42ded8200712affcfec2d22d77085f20edf8c287a49340059183cd769f7",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RANDOM_REGULAR_FINGERPRINTS),
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_random_regular_fingerprint_frozen(shape):
+    assert LdpcCode.random_regular(*shape).fingerprint() == RANDOM_REGULAR_FINGERPRINTS[shape]
+
+
+def test_random_regular_skips_all_even_graph(monkeypatch):
+    # col_degree 4: the first graph has only even column degrees, so it is
+    # redrawn without a generator derivation; the repaired graph is built once.
+    calls = []
+
+    def counted(*args, _real=ldpc.derive_generator):
+        calls.append(args[1:])
+        return _real(*args)
+
+    monkeypatch.setattr(ldpc, "derive_generator", counted)
+    LdpcCode.random_regular(1008, 6, 4, 2)
+    assert calls == [(1008, 336)]
 
 
 def test_random_regular_validation():
