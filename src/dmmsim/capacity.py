@@ -6,12 +6,12 @@ BPSK is treated as one-dimensional: the decision variable sees the
 per-dimension noise variance sigma2_total / 2. QPSK is computed as a
 genuine two-dimensional four-point mixture so the I/Q doubling identity
 is a cross-check between independent integration routes, not a tautology:
-its density is formed and its log taken on the 2-D Gauss-Legendre node
-grid, in row blocks of at most 2**20 elements (8 MiB), each reduced by
-two matrix-vector products. The node grid and the density are mirror
-symmetric on both axes, so only the quadrant of positive nodes is formed,
-less the nodes where the density underflows to 0. Symbol energy is
-normalized to 1; only the ratio enters.
+its density is formed and its log taken on a 2-D Gauss-Legendre node
+grid, in units of the noise standard deviation about the positive
+constellation point, at most 384 nodes per axis at any Es/N0, and reduced
+by two matrix-vector products. Below one noise threshold both carry
+their full bits without quadrature. Symbol energy is normalized to 1;
+only the ratio enters.
 """
 
 import functools
@@ -35,8 +35,9 @@ def _mi_point(esn0_db, mi):
     return MiPoint(esn0_db, mi, ebn0)
 
 
-# Per-dimension noise standard deviation below which BPSK carries 1 bit.
-_BPSK_SIG_NOISELESS = 1e-6
+# Per-dimension noise standard deviation below which the channel is
+# noiseless: BPSK carries 1 bit and QPSK 2.
+_SIG_NOISELESS = 1e-6
 
 
 def mi_bpsk(esn0_db):
@@ -45,7 +46,7 @@ def mi_bpsk(esn0_db):
     I = H(Y) - H(N) with Y an equiprobable two-Gaussian mixture on the
     real line; H(Y) by adaptive quadrature over +-12 standard
     deviations (absolute tolerance well under 1e-9). Once the noise
-    standard deviation falls below _BPSK_SIG_NOISELESS (about 117 dB,
+    standard deviation falls below _SIG_NOISELESS (about 117 dB,
     inside the band from 73 dB up where the quadrature gives exactly 1.0)
     the channel carries the full 1 bit without quadrature: further up the
     integrand is two spikes that ``quad`` cannot resolve, so it warns and,
@@ -53,7 +54,7 @@ def mi_bpsk(esn0_db):
     """
     s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
     sig = math.sqrt(s2)
-    if sig < _BPSK_SIG_NOISELESS:
+    if sig < _SIG_NOISELESS:
         return _mi_point(esn0_db, 1.0)
     norm = 0.5 / math.sqrt(2.0 * math.pi * s2)
 
@@ -71,10 +72,6 @@ def mi_bpsk(esn0_db):
                  points=[-1.0, 0.0, 1.0])
     hn = 0.5 * math.log2(2.0 * math.pi * math.e * s2)
     return _mi_point(esn0_db, min(max(hy - hn, 0.0), 1.0))
-
-
-# Largest row block of the 2-D QPSK density, in elements (8 MiB of float64).
-_QPSK_BLOCK = 1 << 20
 
 
 @functools.cache
@@ -99,70 +96,54 @@ def mi_qpsk(esn0_db):
     """Mutual information of equiprobable QPSK at the given Es/N0 (dB).
 
     Two-dimensional mixture of four Gaussians at (+-a, +-a), a=1/sqrt(2),
-    integrated on Gauss-Legendre panels of roughly one noise standard
-    deviation, minus the complex-noise entropy. A noiseless channel
-    carries the full 2 bits; so does one whose density normaliser
-    overflows (Es/N0 above about 3090 dB).
-
-    With h = g(+a) + g(-a) the per-axis Gaussian pair at the nodes, the
-    mixture density on the node grid is f_ij = norm * h_i * h_j, so
-    H(Y) = -norm * u' log2(F) u with u = weights * h. The panels span
-    [-hi, hi], so the nodes come in mirror pairs (equal to about 1e-16),
-    and h is even: the four quadrants of u_i u_j log2 f_ij are equal, and
-    the sum is taken over the positive nodes, the upper half of the
-    grid, and multiplied by 4. Nodes where h underflows to 0 add exactly
-    nothing and are dropped first; at very high Es/N0 (300 dB, say) none
-    is left, H(Y) is 0 and the clamp gives 2 bits. F is formed and its
-    log taken in place in row blocks of at most _QPSK_BLOCK elements,
-    then reduced by two matrix-vector products. The log is taken of the
-    2-D density, not split into per-axis terms, so the I/Q doubling
-    identity against ``mi_bpsk`` stays a check between two integration
-    routes.
+    minus the complex-noise entropy. The mixture density is even on both
+    axes, so H(Y) is 4 times its integral over the positive quadrant,
+    taken per axis in units of the noise standard deviation sigma about
+    the positive point, x = a + sigma z, with z in [-min(a/sigma, 12), 12]
+    (from the axis, or 12 sigma below the point, to 12 sigma above it) on
+    16-point Gauss-Legendre panels about 1 sigma wide: at most 24 panels,
+    384 nodes. With h(z) = exp(-z^2/2) + exp(-(z + 2a/sigma)^2/2) the
+    per-axis Gaussian pair, the density on the node grid is
+    F = norm * h h', so H(Y) = -4 norm sigma^2 u' log2(F) u with
+    u = weights * h. The log is taken of the 2-D density, not split into
+    per-axis terms, so the I/Q doubling identity against ``mi_bpsk``
+    stays a check between two integration routes. Once sigma falls below
+    _SIG_NOISELESS the channel carries the full 2 bits without quadrature.
     """
     s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
-    if s2 == 0.0:
-        return _mi_point(esn0_db, 2.0)
-    norm = 0.25 / (2.0 * math.pi * s2)
-    if not math.isfinite(norm):
-        return _mi_point(esn0_db, 2.0)
     sig = math.sqrt(s2)
+    if sig < _SIG_NOISELESS:
+        return _mi_point(esn0_db, 2.0)
     a = 1.0 / math.sqrt(2.0)
-    lo, hi = -a - 12.0 * sig, a + 12.0 * sig
-    n_panels = int(min(max(math.ceil((hi - lo) / sig), 8), 360))
-    nodes, wts = _panel_nodes(lo, hi, n_panels)
-    # the nodes are mirror pairs and h is even, so the four quadrants of the
-    # sum are equal: keep the positive nodes and take 4 times their sum
-    half = nodes.size // 2
-    nodes, wts = nodes[half:], wts[half:]
-    # far from both points the exponent overflows to -inf, and exp gives the right 0
-    with np.errstate(over="ignore"):
-        h = np.exp(-((nodes - a) ** 2) / (2.0 * s2)) + np.exp(-((nodes + a) ** 2) / (2.0 * s2))
-    keep = h > 0.0
-    h = h[keep]
-    u = wts[keep] * h
-    acc = 0.0
-    if h.size:
-        rows = max(1, _QPSK_BLOCK // h.size)
-        block = np.empty((min(rows, h.size), h.size))
-        for i0 in range(0, h.size, rows):
-            hb = h[i0:i0 + rows]
-            f = np.multiply.outer(norm * hb, h, out=block[:hb.size])
-            np.log2(f, out=f, where=f > 0.0)
-            acc += float(u[i0:i0 + hb.size] @ (f @ u))
-    hy = -4.0 * norm * acc
+    lo = -min(a / sig, 12.0)
+    z, wts = _panel_nodes(lo, 12.0, math.ceil(12.0 - lo))
+    h = np.exp(-0.5 * z * z) + np.exp(-0.5 * (z + 2.0 * a / sig) ** 2)
+    u = wts * h
+    norm = 0.25 / (2.0 * math.pi * s2)
+    f = np.multiply.outer(norm * h, h)
+    # at very low Es/N0 the density underflows to 0 in the corners, where
+    # it adds nothing
+    np.log2(f, out=f, where=f > 0.0)
+    hy = -4.0 * norm * s2 * float(u @ (f @ u))
     hn = math.log2(2.0 * math.pi * math.e * s2)
     return _mi_point(esn0_db, min(max(hy - hn, 0.0), 2.0))
+
+
+def _mi_function(modulation):
+    """(MI function, its ceiling in bits) for a modulation name. The
+    function is looked up in the module globals on each call, so a
+    wrapper set on the module sees every evaluation."""
+    if modulation == "bpsk":
+        return mi_bpsk, 1.0
+    if modulation == "qpsk":
+        return mi_qpsk, 2.0
+    raise ValueError(f"unknown modulation {modulation!r}")
 
 
 def esn0_at_mi(target_mi, modulation="bpsk"):
     """Es/N0 (dB) at which the chosen modulation reaches target_mi bits,
     by bisection-style root finding on the quadrature curve."""
-    if modulation == "bpsk":
-        fn, top = mi_bpsk, 1.0
-    elif modulation == "qpsk":
-        fn, top = mi_qpsk, 2.0
-    else:
-        raise ValueError(f"unknown modulation {modulation!r}")
+    fn, top = _mi_function(modulation)
     if not 0.0 < target_mi < top:
         raise ValueError(f"target mi must lie in (0, {top})")
     return brentq(lambda s: fn(s).mi_bits - target_mi, -40.0, 40.0, xtol=1e-9)
@@ -170,12 +151,7 @@ def esn0_at_mi(target_mi, modulation="bpsk"):
 
 def mi_grid(esn0_grid_db, modulation="bpsk"):
     """MiPoint per grid value, in grid order."""
-    if modulation == "bpsk":
-        fn = mi_bpsk
-    elif modulation == "qpsk":
-        fn = mi_qpsk
-    else:
-        raise ValueError(f"unknown modulation {modulation!r}")
+    fn, _top = _mi_function(modulation)
     return [fn(float(s)) for s in esn0_grid_db]
 
 

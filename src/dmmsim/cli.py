@@ -109,30 +109,9 @@ def cmd_capacity(args, argv):
     return 0
 
 
-def _write_genie(cfg, args, argv, out_dir):
-    result = run_genie_compare(cfg, workers=args.workers)
-    csv_path = out_dir / "genie_compare.csv"
-    write_genie_csv(result, csv_path)
-    manifest = build_manifest(cfg, _command_string(argv), [csv_path])
-    man_path = out_dir / "genie_compare_manifest.json"
-    write_manifest(manifest, man_path)
-    for gp in result.points:
-        tag = "insignificant" if gp.insignificant else "significant"
-        print(
-            f"  esn0={gp.esn0_db:.4f} dB gap={gp.gap_inner_ber:.3e} "
-            f"ci95={gp.ci95_affected + gp.ci95_genie:.3e} ({tag}, "
-            f"{gp.affected.frames} frames)"
-        )
-    print(f"wrote {csv_path}")
-    print(f"wrote {man_path}")
-    return 0
-
-
 def cmd_ber_sweep(args, argv):
     cfg = _load_with_overrides(args)
     out_dir = _out_dir(args)
-    if args.genie:
-        return _write_genie(cfg, args, argv, out_dir)
     if args.baseline:
         result = run_bpsk_baseline(cfg, workers=args.workers)
         stem = "bpsk_baseline"
@@ -156,7 +135,23 @@ def cmd_ber_sweep(args, argv):
 
 def cmd_genie_compare(args, argv):
     cfg = _load_with_overrides(args)
-    return _write_genie(cfg, args, argv, _out_dir(args))
+    out_dir = _out_dir(args)
+    result = run_genie_compare(cfg, workers=args.workers)
+    csv_path = out_dir / "genie_compare.csv"
+    write_genie_csv(result, csv_path)
+    manifest = build_manifest(cfg, _command_string(argv), [csv_path])
+    man_path = out_dir / "genie_compare_manifest.json"
+    write_manifest(manifest, man_path)
+    for gp in result.points:
+        tag = "insignificant" if gp.insignificant else "significant"
+        print(
+            f"  esn0={gp.esn0_db:.4f} dB gap={gp.gap_inner_ber:.3e} "
+            f"ci95={gp.ci95_affected + gp.ci95_genie:.3e} ({tag}, "
+            f"{gp.affected.frames} frames)"
+        )
+    print(f"wrote {csv_path}")
+    print(f"wrote {man_path}")
+    return 0
 
 
 def cmd_rate_bound(args, argv):
@@ -203,9 +198,7 @@ def build_parser():
 
     sp = sub.add_parser("ber-sweep", help="Monte-Carlo BER/FER sweep from a config file")
     _add_run_flags(sp)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--baseline", choices=("bpsk",), help="inner code alone on plain BPSK")
-    mode.add_argument("--genie", action="store_true", help="paired receiver/genie derotation sweep")
+    sp.add_argument("--baseline", choices=("bpsk",), help="inner code alone on plain BPSK")
     sp.set_defaults(func=cmd_ber_sweep)
 
     sp = sub.add_parser("genie-compare", help="receiver-estimated vs true derotation, paired noise")

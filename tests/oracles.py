@@ -173,7 +173,10 @@ def _panel_nodes_reference(lo, hi, n_panels, order=16):
 def mi_qpsk_reference(esn0_db):
     """QPSK mutual information in bits from the full four-term density on
     each 4 M-element chunk of the 2-D Gauss-Legendre panel grid: the
-    former body of ``capacity.mi_qpsk``, kept to pin the current one."""
+    former body of ``capacity.mi_qpsk``, kept to pin the current one. It
+    shares that body's node grid, capped at 360 panels per axis, so it is
+    wrong above about 61 dB (2.4e-6 bits low at 66 dB) and must not be
+    extended there."""
     s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
     if s2 == 0.0:
         return 2.0

@@ -74,11 +74,11 @@ def test_qpsk_doubling_identity_20_points():
         assert abs(q - 2.0 * b) <= 1e-6
 
 
-# Deep noise, the half-bit region, the high-SNR bracket (40 dB, where the
-# trim of underflowed nodes keeps 809 of 1792 on the half axis), the
-# 360-panel cap (60 dB, 144 of 2880 kept), no node kept (300 dB), the last
-# finite density normaliser (3080 dB, no node kept), normalisers that
-# overflow to inf (3100, 3200 dB) and the noiseless channel.
+# Deep noise, the half-bit region, the high-SNR bracket (40 dB), 60 dB
+# (near the top of the band where the reference's node grid is still
+# fine enough), Es/N0 where the reference's density underflows everywhere
+# (300, 3080 dB) or its normaliser overflows (3100, 3200 dB), and the
+# noiseless channel; from 300 dB up both sides read the 2-bit limit.
 ORACLE_ESN0_DB = [-3000.0, -300.0, -40.0, *np.arange(-6.0, 6.25, 0.5).tolist(),
                   20.0, 30.0, 40.0, 45.0, 60.0, 300.0, 3080.0, 3100.0, 3200.0, math.inf]
 
@@ -126,18 +126,35 @@ def test_qpsk_root_matches_reference(target, monkeypatch):
     assert len(evals) == len(ref_evals)
 
 
+def test_mi_qpsk_high_snr_is_two_bits_without_warnings():
+    # the former 360-panel cap left nodes farther apart than sigma above
+    # about 61 dB: 66, 69, 72, 73.5 and 90 dB read from 1.9999976 down to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for esn0_db in [*np.arange(55.0, 3300.0 + 0.125, 0.25).tolist(), math.inf]:
+            assert abs(mi_qpsk(esn0_db).mi_bits - 2.0) <= 1e-12, esn0_db
+
+
+def test_mi_qpsk_non_decreasing():
+    # near 2 bits the value carries a few ulps of rounding (up to 3.6e-15)
+    grid = np.linspace(-40.0, 80.0, 2401)
+    vals = [mi_qpsk(float(s)).mi_bits for s in grid]
+    drops = [(s, a - b) for s, a, b in zip(grid[1:], vals, vals[1:]) if b < a - 1e-14]
+    assert not drops
+
+
 def test_mi_qpsk_peak_memory_is_bounded():
-    # 60 dB hits the 360-panel cap: a 5760 x 5760 node grid, 253 MiB if
-    # formed whole. The quadrant keeps 144 nodes there; 40 dB keeps 809,
-    # about the most any Es/N0 keeps (a 5 MiB block).
-    for esn0_db in (40.0, 60.0):
+    # No Es/N0 forms more than 24 panels, that is 384 nodes, per axis: a
+    # 384 x 384 density of 1.1 MiB. From 21.6 dB on the window no longer
+    # touches the axis and holds all 24 panels.
+    for esn0_db in (0.0, 21.6, 40.0, 60.0, 112.0):
         tracemalloc.start()
         try:
             mi_qpsk(esn0_db)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20, esn0_db
+        assert peak < 4 * 2**20, esn0_db
 
 
 def test_mi_point_ebn0_consistency():

@@ -174,23 +174,25 @@ def test_ber_sweep_baseline_mode(cfg_path, tmp_path):
     assert len(lines) == 3
 
 
-def test_ber_sweep_genie_mode(cfg_path, tmp_path):
+def test_ber_sweep_genie_flag_is_rejected(cfg_path, tmp_path, capsys):
+    # the paired genie sweep is the genie-compare subcommand alone
     out = tmp_path / "genie"
-    rc = main(["ber-sweep", str(cfg_path), "--genie", "--grid", "2", "--out-dir", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(["ber-sweep", str(cfg_path), "--genie", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "--genie" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_genie_compare_subcommand(cfg_path, tmp_path):
+    out = tmp_path / "gc"
+    rc = main(["genie-compare", str(cfg_path), "--grid", "2", "--out-dir", str(out)])
     assert rc == 0
     lines = (out / "genie_compare.csv").read_text().splitlines()
     assert lines[0].split(",")[2] == "ber_inner_affected"
     assert len(lines) == 2
     man = json.loads((out / "genie_compare_manifest.json").read_text())
     assert man["config"]["esn0_grid_db"] == [2.0]
-
-
-def test_genie_compare_subcommand(cfg_path, tmp_path):
-    out = tmp_path / "gc"
-    rc = main(["genie-compare", str(cfg_path), "--grid", "0", "--out-dir", str(out)])
-    assert rc == 0
-    assert (out / "genie_compare.csv").exists()
-    assert (out / "genie_compare_manifest.json").exists()
 
 
 def test_overrides_recorded_in_manifest(cfg_path, tmp_path):

@@ -11,8 +11,11 @@ Each capacity case runs `dmmsim capacity --grid=-6:6:0.1 --half-bit`
 for one modulation and compares the CSV digest and the half-bit line;
 every rewrite of the MI quadrature must reproduce both. The high-SNR
 cases pin the CSV of `dmmsim capacity --grid=10:150:10`, where the
-Gaussians are narrower than the node spacing and the BPSK integrand is
-two spikes.
+Gaussians are narrow and the BPSK integrand is two spikes. The QPSK
+digest was re-recorded once, when the quadrature moved to noise units:
+its only changed row is 90 dB, which read 0 bits under the former
+360-panel cap and now reads the 2-bit limit
+(`90.0000,2.000000000,86.9897`).
 """
 
 import hashlib
@@ -95,7 +98,7 @@ HIGH_SNR_GRID = "--grid=10:150:10"
 # modulation -> SHA-256 of capacity_<modulation>.csv on HIGH_SNR_GRID
 HIGH_SNR_GOLDEN = {
     "bpsk": "7ecde5228a194ae2145fb157a3ec6683e8753e8d8c7e1d990f698ada25d96f48",
-    "qpsk": "21757e6f255c3d203c41ca27cccb4782e3ad151348b762fcea7ce6dc33dce5f3",
+    "qpsk": "2c0af3a84756f366bc9b557ddbb6333f9edc61a969002137f166b457da8c4f72",
 }
 
 
