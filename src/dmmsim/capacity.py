@@ -40,6 +40,14 @@ def _mi_point(esn0_db, mi):
 _SIG_NOISELESS = 1e-6
 
 
+def _noise_var(esn0_db):
+    """Per-dimension noise variance at the given Es/N0 (dB), +inf at
+    -inf dB, the zero-SNR limit. NaN is not an Es/N0 and raises."""
+    if math.isnan(esn0_db):
+        raise ValueError(f"esn0_db must not be NaN, got {esn0_db!r}")
+    return 10.0 ** (-esn0_db / 10.0) / 2.0
+
+
 def mi_bpsk(esn0_db):
     """Mutual information of equiprobable BPSK at the given Es/N0 (dB).
 
@@ -50,9 +58,15 @@ def mi_bpsk(esn0_db):
     inside the band from 73 dB up where the quadrature gives exactly 1.0)
     the channel carries the full 1 bit without quadrature: further up the
     integrand is two spikes that ``quad`` cannot resolve, so it warns and,
-    above about 324 dB, falls short of 1. Es/N0 = +inf is such a channel.
+    above about 324 dB, falls short of 1. Es/N0 = +inf is such a channel;
+    Es/N0 = -inf carries 0 bits.
+
+    Raises:
+        ValueError: if esn0_db is NaN.
     """
-    s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
+    s2 = _noise_var(esn0_db)
+    if s2 == math.inf:
+        return _mi_point(esn0_db, 0.0)
     sig = math.sqrt(s2)
     if sig < _SIG_NOISELESS:
         return _mi_point(esn0_db, 1.0)
@@ -108,9 +122,15 @@ def mi_qpsk(esn0_db):
     u = weights * h. The log is taken of the 2-D density, not split into
     per-axis terms, so the I/Q doubling identity against ``mi_bpsk``
     stays a check between two integration routes. Once sigma falls below
-    _SIG_NOISELESS the channel carries the full 2 bits without quadrature.
+    _SIG_NOISELESS the channel carries the full 2 bits without quadrature;
+    at Es/N0 = -inf it carries 0 bits.
+
+    Raises:
+        ValueError: if esn0_db is NaN.
     """
-    s2 = 10.0 ** (-esn0_db / 10.0) / 2.0
+    s2 = _noise_var(esn0_db)
+    if s2 == math.inf:
+        return _mi_point(esn0_db, 0.0)
     sig = math.sqrt(s2)
     if sig < _SIG_NOISELESS:
         return _mi_point(esn0_db, 2.0)

@@ -38,7 +38,15 @@ def derive_generator(h_sparse, n_code, k_info):
     """Systematic generator for a parity-check matrix given as (row, col) pairs.
 
     Gaussian elimination over GF(2) with column pivoting; info bits
-    appear verbatim at the non-pivot columns.
+    appear verbatim at the non-pivot columns. The generator is assembled
+    transposed, row by row: an identity at the non-pivot columns and the
+    reduced rows' non-pivot entries at the pivot columns. It is
+    transposed back only after the parity-check matrix and its reduced
+    form are freed, which keeps the peak memory of a build down.
+
+    Args:
+        h_sparse: iterable of (row, col) pairs, or an (n_edges, 2)
+            integer array of them.
 
     Returns:
         (g_dense, info_positions): a (k_info, n_code) uint8 generator and
@@ -49,22 +57,22 @@ def derive_generator(h_sparse, n_code, k_info):
         n_code - k_info.
     """
     rows, cols = _edge_arrays(h_sparse, n_code)
-    m = int(rows.max()) + 1 if rows.size else 0
-    H = np.zeros((m, n_code), dtype=np.uint8)
+    H = np.zeros((int(rows.max()) + 1, n_code), dtype=np.uint8)
     H[rows, cols] = 1
     R, piv = gf2.row_reduce(H)
+    del H
     need = n_code - k_info
     if len(piv) != need:
         raise CodeConstructionError(
             f"parity-check matrix has GF(2) rank {len(piv)}, "
             f"need {need} for k_info={k_info}"
         )
-    piv = np.asarray(piv, dtype=np.int64)
     free = np.setdiff1d(np.arange(n_code), piv)
-    g = np.zeros((k_info, n_code), dtype=np.uint8)
-    g[np.arange(k_info), free] = 1
-    g[:, piv] = R[: len(piv)][:, free].T
-    return g, free
+    gT = np.zeros((n_code, k_info), dtype=np.uint8)
+    gT[free, np.arange(k_info)] = 1
+    gT[piv] = R[:need].take(free, axis=1)
+    del R
+    return np.ascontiguousarray(gT.T), free
 
 
 def _check_length(n_code):
@@ -73,7 +81,9 @@ def _check_length(n_code):
 
 
 def _edge_arrays(h_sparse, n_code):
-    pairs = np.asarray(list(h_sparse), dtype=np.int64)
+    if not isinstance(h_sparse, np.ndarray):
+        h_sparse = list(h_sparse)
+    pairs = np.asarray(h_sparse, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise CodeConstructionError("h_sparse must be a non-empty list of (row, col) pairs")
     rows, cols = pairs[:, 0], pairs[:, 1]
@@ -131,7 +141,7 @@ class LdpcCode:
         self._er = rows[order].astype(np.intp)
         self._ec = cols[order].astype(np.intp)
         self.g_dense, self.info_positions = derive_generator(
-            zip(self._er.tolist(), self._ec.tolist()), self.n_code, self.k_info
+            np.column_stack((self._er, self._ec)), self.n_code, self.k_info
         )
         self._g_packed = np.packbits(self.g_dense, axis=1)
         # Check slot layout: slot (j, i) holds the j-th edge of row i.
@@ -190,8 +200,7 @@ class LdpcCode:
     @classmethod
     def from_dense(cls, H):
         H = np.asarray(H, dtype=np.uint8) & 1
-        rows, cols = np.nonzero(H)
-        return cls(list(zip(rows.tolist(), cols.tolist())), H.shape[1], H.shape[0])
+        return cls(np.argwhere(H), H.shape[1], H.shape[0])
 
     @classmethod
     def from_alist(cls, path):
@@ -305,7 +314,7 @@ class LdpcCode:
             # with every column degree even the rows sum to zero: rank < m
             if (np.bincount(cols, minlength=n_code) & 1).any():
                 try:
-                    code = cls(list(zip(rows.tolist(), cols.tolist())), n_code, m)
+                    code = cls(np.column_stack((rows, cols)), n_code, m)
                 except CodeConstructionError:
                     pass
                 else:

@@ -40,6 +40,38 @@ def gf2_rank_naive(mat):
     return r
 
 
+def row_reduce_reference(mat):
+    """Reduced row echelon form over GF(2), one pivot column at a time:
+    the former body of ``gf2.row_reduce``, kept to pin the current one.
+    Returns (rref, pivot_cols) like it."""
+    M = np.asarray(mat, dtype=np.uint8) & 1
+    if M.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    m, n = M.shape
+    P = np.packbits(M, axis=1)
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        byte, bit = divmod(col, 8)
+        mask = np.uint8(1 << (7 - bit))
+        nz = np.nonzero(P[r:, byte] & mask)[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            P[[r, i]] = P[[i, r]]
+        hits = np.nonzero(P[:, byte] & mask)[0]
+        hits = hits[hits != r]
+        if hits.size:
+            P[hits] ^= P[r]
+        pivot_cols.append(col)
+        r += 1
+    R = np.unpackbits(P, axis=1)[:, :n]
+    return R, pivot_cols
+
+
 def syndrome_int(H, v):
     """H v mod 2 via plain integer matrix multiply."""
     return (np.asarray(H, dtype=np.int64) @ np.asarray(v, dtype=np.int64)) % 2

@@ -135,6 +135,36 @@ def test_mi_qpsk_high_snr_is_two_bits_without_warnings():
             assert abs(mi_qpsk(esn0_db).mi_bits - 2.0) <= 1e-12, esn0_db
 
 
+@pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
+def test_mi_at_minus_inf_is_zero_without_warnings(fn):
+    # the zero-SNR limit, where mi_qpsk read NaN and mi_bpsk raised inside quad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = fn(-math.inf)
+    assert p.mi_bits == 0.0
+    assert p.ebn0_db == math.inf
+
+
+@pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
+def test_mi_rejects_nan_without_warnings(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="esn0_db.*NaN"):
+            fn(math.nan)
+
+
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_mi_grid_rejects_nan_and_takes_minus_inf(modulation):
+    with pytest.raises(ValueError, match="esn0_db.*NaN"):
+        mi_grid([0.0, math.nan], modulation)
+    assert [p.mi_bits for p in mi_grid([-math.inf], modulation)] == [0.0]
+
+
+def test_esn0_at_mi_rejects_nan_target():
+    with pytest.raises(ValueError):
+        esn0_at_mi(math.nan, "bpsk")
+
+
 def test_mi_qpsk_non_decreasing():
     # near 2 bits the value carries a few ulps of rounding (up to 3.6e-15)
     grid = np.linspace(-40.0, 80.0, 2401)

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmmsim import gf2
-from oracles import gf2_rank_naive
+from oracles import gf2_rank_naive, row_reduce_reference
 
 
 def test_identity_is_its_own_rref():
@@ -64,9 +67,61 @@ def test_row_space_preserved():
 
 
 def test_rejects_non_2d():
-    try:
+    with pytest.raises(ValueError, match="2-D"):
         gf2.row_reduce(np.zeros(4, dtype=np.uint8))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError for 1-D input")
+
+
+@pytest.mark.parametrize("shape", [(0, 13), (5, 0)], ids=["no-rows", "no-columns"])
+def test_empty_matrix(shape):
+    R, piv = gf2.row_reduce(np.zeros(shape, dtype=np.uint8))
+    assert R.shape == shape and R.dtype == np.uint8
+    assert piv == []
+
+
+def test_single_column():
+    R, piv = gf2.row_reduce([[0], [1]])
+    assert np.array_equal(R, [[1], [0]])
+    assert piv == [0]
+
+
+@pytest.mark.parametrize("n", [9, 17, 129])
+def test_pivot_in_last_partial_byte(n):
+    # 8k+1 columns: the last column is alone in its packed byte. Row 0
+    # reaches it only through row 1, so both the pivot list and the
+    # cleared entry of row 0 depend on that byte.
+    M = np.zeros((3, n), dtype=np.uint8)
+    M[0, [0, n - 1]] = 1
+    M[1, n - 1] = 1
+    R, piv = gf2.row_reduce(M)
+    expect = np.zeros((3, n), dtype=np.uint8)
+    expect[0, 0] = expect[1, n - 1] = 1
+    assert piv == [0, n - 1]
+    assert np.array_equal(R, expect)
+
+
+@st.composite
+def binary_matrices(draw):
+    """0/1 matrices up to 40x130, any density, with duplicated and zeroed
+    rows mixed in; widths are often not multiples of 8."""
+    m = draw(st.integers(0, 40))
+    n = draw(st.integers(0, 130))
+    density = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = (rng.random((m, n)) < density).astype(np.uint8)
+    if m:
+        rows = st.integers(0, m - 1)
+        for dst, src in draw(st.lists(st.tuples(rows, rows), max_size=6)):
+            M[dst] = M[src]
+        M[draw(st.lists(rows, max_size=4))] = 0
+    return M
+
+
+@settings(max_examples=400, deadline=None)
+@given(M=binary_matrices())
+def test_matches_reference_kernel(M):
+    R, piv = gf2.row_reduce(M)
+    R_ref, piv_ref = row_reduce_reference(M)
+    assert R.dtype == R_ref.dtype and R.shape == R_ref.shape
+    assert R.tobytes() == R_ref.tobytes()
+    assert piv == piv_ref
+    assert all(type(c) is int for c in piv)
