@@ -12,15 +12,18 @@ constellation point, at most 384 nodes per axis at any Es/N0, and reduced
 by two matrix-vector products. Below one noise threshold both carry
 their full bits without quadrature. Symbol energy is normalized to 1;
 only the ratio enters.
+
+SciPy's ``quad`` and ``brentq`` are imported inside the functions that
+use them, so importing the package or running frames does not load
+``scipy.integrate`` or ``scipy.optimize``.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -40,12 +43,23 @@ def _mi_point(esn0_db, mi):
 _SIG_NOISELESS = 1e-6
 
 
+# Largest per-dimension noise standard deviation at which mi_bpsk's
+# integrand is evaluated: it squares (y -+ 1) over y in +-(1 + 12 sigma),
+# which must stay a finite float. Past it, below about -3063 dB, the
+# mutual information is below 1e-300 bits.
+_SIG_MAX_BPSK = math.sqrt(sys.float_info.max) / 13.0
+
+
 def _noise_var(esn0_db):
     """Per-dimension noise variance at the given Es/N0 (dB), +inf at
-    -inf dB, the zero-SNR limit. NaN is not an Es/N0 and raises."""
+    -inf dB, the zero-SNR limit, and wherever the variance overflows a
+    float (below about -3082.5 dB). NaN is not an Es/N0 and raises."""
     if math.isnan(esn0_db):
         raise ValueError(f"esn0_db must not be NaN, got {esn0_db!r}")
-    return 10.0 ** (-esn0_db / 10.0) / 2.0
+    try:
+        return 10.0 ** (-esn0_db / 10.0) / 2.0
+    except OverflowError:
+        return math.inf
 
 
 def mi_bpsk(esn0_db):
@@ -59,15 +73,19 @@ def mi_bpsk(esn0_db):
     the channel carries the full 1 bit without quadrature: further up the
     integrand is two spikes that ``quad`` cannot resolve, so it warns and,
     above about 324 dB, falls short of 1. Es/N0 = +inf is such a channel;
-    Es/N0 = -inf carries 0 bits.
+    Es/N0 = -inf carries 0 bits, and so, to within 1e-300 bits, does any
+    Es/N0 whose noise standard deviation exceeds _SIG_MAX_BPSK (below
+    about -3063 dB), where the integrand would overflow.
 
     Raises:
         ValueError: if esn0_db is NaN.
     """
+    from scipy.integrate import quad
+
     s2 = _noise_var(esn0_db)
-    if s2 == math.inf:
-        return _mi_point(esn0_db, 0.0)
     sig = math.sqrt(s2)
+    if sig > _SIG_MAX_BPSK:
+        return _mi_point(esn0_db, 0.0)
     if sig < _SIG_NOISELESS:
         return _mi_point(esn0_db, 1.0)
     norm = 0.5 / math.sqrt(2.0 * math.pi * s2)
@@ -163,6 +181,8 @@ def _mi_function(modulation):
 def esn0_at_mi(target_mi, modulation="bpsk"):
     """Es/N0 (dB) at which the chosen modulation reaches target_mi bits,
     by bisection-style root finding on the quadrature curve."""
+    from scipy.optimize import brentq
+
     fn, top = _mi_function(modulation)
     if not 0.0 < target_mi < top:
         raise ValueError(f"target mi must lie in (0, {top})")

@@ -11,6 +11,7 @@ a few thousand columns reduce in tens of milliseconds.
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -32,8 +33,8 @@ def _pext():
     return out
 
 
-def row_reduce(mat):
-    """Reduced row echelon form of a binary matrix over GF(2).
+def row_reduce(packed, n_cols):
+    """Reduced row echelon form of a bit-packed binary matrix over GF(2).
 
     Strip by strip, with r rows pivoted so far: the rows r.. are zero
     left of the strip, so the strip's pivot columns are the leading bits
@@ -52,19 +53,29 @@ def row_reduce(mat):
     gives.
 
     Args:
-        mat: (m, n) array-like of 0/1 values.
+        packed: (m, ceil(n_cols / 8)) uint8 array, each row packed as by
+            ``np.packbits(..., axis=1)``. It is not modified. Bits past
+            column n_cols - 1 are ignored.
+        n_cols: number of matrix columns.
 
     Returns:
-        (rref, pivot_cols): the reduced matrix as a (m, n) uint8 array
-        and the pivot column indices in increasing order. The GF(2)
-        rank is ``len(pivot_cols)``.
+        (packed_rref, pivot_cols): the reduced matrix, packed like the
+        input with its bits past n_cols - 1 zero, and the pivot column
+        indices in increasing order. The GF(2) rank is
+        ``len(pivot_cols)``.
     """
-    M = np.asarray(mat, dtype=np.uint8) & 1
-    if M.ndim != 2:
+    P = np.array(packed, copy=True)
+    if P.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    m, n = M.shape
-    P = np.packbits(M, axis=1)
-    del M
+    n = operator.index(n_cols)
+    if P.dtype != np.uint8 or n < 0 or P.shape[1] != (n + 7) // 8:
+        raise ValueError(
+            f"expected a uint8 array of {(max(n, 0) + 7) // 8} packed bytes per row "
+            f"for {n} columns, got {P.dtype} of shape {P.shape}"
+        )
+    if n % 8:
+        P[:, -1] &= 0xFF << (8 - n % 8) & 0xFF
+    m = P.shape[0]
     pext = _pext()
     row_ids = np.arange(m)
     pivot_cols = []
@@ -126,10 +137,12 @@ def row_reduce(mat):
         P[r: r + k, b:] = table[combs]
         pivot_cols.extend(8 * b + 7 - lead for lead in leads)
         r += k
-    R = np.unpackbits(P, axis=1, count=n)
-    return R, pivot_cols
+    return P, pivot_cols
 
 
 def rank(mat):
     """GF(2) rank of a binary matrix."""
-    return len(row_reduce(mat)[1])
+    M = np.asarray(mat, dtype=np.uint8) & 1
+    if M.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    return len(row_reduce(np.packbits(M, axis=1), M.shape[1])[1])

@@ -4,9 +4,9 @@ that lowers the base code rate by an integer factor.
 
 Parity-check matrices arrive as sparse (row, col) pairs, from an alist
 file, or from the seeded pseudo-random regular constructor. Encoding
-uses the derived dense generator with bit-packed XOR. Decoding is exact
-sum-product with a tanh/atanh kernel and an LLR magnitude cap, on check
-messages stored in a per-code slot layout.
+XORs rows of the derived generator, which is kept bit-packed. Decoding
+is exact sum-product with a tanh/atanh kernel and an LLR magnitude cap,
+on check messages stored in a per-code slot layout.
 """
 
 import hashlib
@@ -20,11 +20,14 @@ from . import gf2
 # Magnitude cap applied to every LLR entering or produced by the decoder.
 LLR_CAP = 30.0
 
-# Largest code that is built. Construction holds dense (n_checks,
+# Largest code that is built. Construction holds bit-packed (n_checks,
 # n_code) GF(2) matrices, and the seeded constructor socket arrays of
 # n_code * col_degree entries, so both are bounded before allocation.
 MAX_CODE_LENGTH = 1 << 14
 MAX_EDGES = 1 << 20
+
+# Generator bits assembled unpacked at a time by derive_generator.
+_GEN_BLOCK = 1 << 20
 
 # Stream id for code construction, outside the per-frame id range.
 _CODEGEN_STREAM = 2**63
@@ -38,28 +41,33 @@ def derive_generator(h_sparse, n_code, k_info):
     """Systematic generator for a parity-check matrix given as (row, col) pairs.
 
     Gaussian elimination over GF(2) with column pivoting; info bits
-    appear verbatim at the non-pivot columns. The generator is assembled
-    transposed, row by row: an identity at the non-pivot columns and the
-    reduced rows' non-pivot entries at the pivot columns. It is
-    transposed back only after the parity-check matrix and its reduced
-    form are freed, which keeps the peak memory of a build down.
+    appear verbatim at the non-pivot columns. Row j of the generator has
+    a 1 at the j-th non-pivot column and, at the pivot columns, the
+    reduced rows' entries in that non-pivot column. The parity-check
+    matrix, its reduced form and the generator are held bit-packed
+    throughout; the generator is assembled in row blocks of at most
+    _GEN_BLOCK bits.
 
     Args:
-        h_sparse: iterable of (row, col) pairs, or an (n_edges, 2)
-            integer array of them.
+        h_sparse: iterable of (row, col) integer pairs, or an
+            (n_edges, 2) integer array of them.
 
     Returns:
-        (g_dense, info_positions): a (k_info, n_code) uint8 generator and
-        the sorted column indices where info bits appear unchanged.
+        (g_packed, info_positions): the (k_info, n_code) generator packed
+        along rows as by ``np.packbits(..., axis=1)``, a (k_info,
+        ceil(n_code / 8)) uint8 array, and the sorted column indices
+        where info bits appear unchanged.
 
     Raises:
-        CodeConstructionError: if the matrix rank differs from
-        n_code - k_info.
+        CodeConstructionError: if the pairs are not integers or out of
+        range, or if the matrix rank differs from n_code - k_info.
     """
     rows, cols = _edge_arrays(h_sparse, n_code)
-    H = np.zeros((int(rows.max()) + 1, n_code), dtype=np.uint8)
-    H[rows, cols] = 1
-    R, piv = gf2.row_reduce(H)
+    n_bytes = (n_code + 7) // 8
+    H = np.zeros((int(rows.max()) + 1, n_bytes), dtype=np.uint8)
+    # OR, not assignment: a pair listed twice sets its bit once
+    np.bitwise_or.at(H, (rows, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
+    R, piv = gf2.row_reduce(H, n_code)
     del H
     need = n_code - k_info
     if len(piv) != need:
@@ -68,11 +76,17 @@ def derive_generator(h_sparse, n_code, k_info):
             f"need {need} for k_info={k_info}"
         )
     free = np.setdiff1d(np.arange(n_code), piv)
-    gT = np.zeros((n_code, k_info), dtype=np.uint8)
-    gT[free, np.arange(k_info)] = 1
-    gT[piv] = R[:need].take(free, axis=1)
-    del R
-    return np.ascontiguousarray(gT.T), free
+    R = R[:need]
+    g_packed = np.empty((k_info, n_bytes), dtype=np.uint8)
+    step = max(1, _GEN_BLOCK // n_code)
+    for lo in range(0, k_info, step):
+        at = free[lo: lo + step]
+        g = np.zeros((at.size, n_code), dtype=np.uint8)
+        g[np.arange(at.size), at] = 1
+        # generator row j's pivot part is column at[j] of the reduced rows
+        g[:, piv] = (R[:, at >> 3] >> (7 - (at & 7)).astype(np.uint8) & 1).T
+        g_packed[lo: lo + at.size] = np.packbits(g, axis=1)
+    return g_packed, free
 
 
 def _check_length(n_code):
@@ -83,9 +97,16 @@ def _check_length(n_code):
 def _edge_arrays(h_sparse, n_code):
     if not isinstance(h_sparse, np.ndarray):
         h_sparse = list(h_sparse)
-    pairs = np.asarray(h_sparse, dtype=np.int64)
+    try:
+        pairs = np.asarray(h_sparse)
+    except (TypeError, ValueError) as exc:
+        raise CodeConstructionError(f"h_sparse is not an array of pairs: {exc}") from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise CodeConstructionError("h_sparse must be a non-empty list of (row, col) pairs")
+    # bool and float are refused, not cast: a cast would truncate 1.7 to 1
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise CodeConstructionError(f"h_sparse indices must be integers, got dtype {pairs.dtype}")
+    pairs = pairs.astype(np.int64)
     rows, cols = pairs[:, 0], pairs[:, 1]
     if rows.min() < 0 or cols.min() < 0 or cols.max() >= n_code:
         raise CodeConstructionError("h_sparse indices out of range")
@@ -115,7 +136,8 @@ class LdpcCode:
         n_code: code length.
         k_info: number of information bits (n_code - n_checks).
         n_checks: number of parity-check rows.
-        g_dense: (k_info, n_code) uint8 systematic generator.
+        g_dense: (k_info, n_code) uint8 systematic generator, unpacked
+            from the stored bit-packed one on each access.
         info_positions: columns where info bits appear verbatim.
     """
 
@@ -140,10 +162,9 @@ class LdpcCode:
             )
         self._er = rows[order].astype(np.intp)
         self._ec = cols[order].astype(np.intp)
-        self.g_dense, self.info_positions = derive_generator(
+        self._g_packed, self.info_positions = derive_generator(
             np.column_stack((self._er, self._ec)), self.n_code, self.k_info
         )
-        self._g_packed = np.packbits(self.g_dense, axis=1)
         # Check slot layout: slot (j, i) holds the j-th edge of row i.
         # Rows shorter than the longest one are padded with slots that
         # point at variable n_code, one past the last code bit.
@@ -157,6 +178,10 @@ class LdpcCode:
         self._pad = pad if pad.any() else None
         # construction record for run manifests; classmethod constructors refine it
         self.origin = {"kind": "explicit"}
+
+    @property
+    def g_dense(self):
+        return np.unpackbits(self._g_packed, axis=1, count=self.n_code)
 
     @property
     def h_sparse(self):

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 from scipy.special import logsumexp
 
-from dmmsim.ldpc import LLR_CAP
+from dmmsim.ldpc import LLR_CAP, CodeConstructionError, _edge_arrays
 
 
 def gf2_rank_naive(mat):
@@ -70,6 +70,31 @@ def row_reduce_reference(mat):
         r += 1
     R = np.unpackbits(P, axis=1)[:, :n]
     return R, pivot_cols
+
+
+def derive_generator_reference(h_sparse, n_code, k_info):
+    """Systematic generator from dense matrices: the former body of
+    ``ldpc.derive_generator``, with ``row_reduce_reference`` for the
+    elimination, kept to pin the bit-packed one. Returns
+    (g_dense, info_positions) with g_dense a (k_info, n_code) uint8
+    array, and raises CodeConstructionError like it."""
+    rows, cols = _edge_arrays(h_sparse, n_code)
+    H = np.zeros((int(rows.max()) + 1, n_code), dtype=np.uint8)
+    H[rows, cols] = 1
+    R, piv = row_reduce_reference(H)
+    del H
+    need = n_code - k_info
+    if len(piv) != need:
+        raise CodeConstructionError(
+            f"parity-check matrix has GF(2) rank {len(piv)}, "
+            f"need {need} for k_info={k_info}"
+        )
+    free = np.setdiff1d(np.arange(n_code), piv)
+    gT = np.zeros((n_code, k_info), dtype=np.uint8)
+    gT[free, np.arange(k_info)] = 1
+    gT[piv] = R[:need].take(free, axis=1)
+    del R
+    return np.ascontiguousarray(gT.T), free
 
 
 def syndrome_int(H, v):

@@ -3,11 +3,13 @@
 The Monte-Carlo checks run the shipped desk-scale configuration
 (configs/desk_scale.json): inner (3,6) code of length 4032 at rate 1/2,
 outer rate 1/12 built from a rate-1/3 length-1008 code repeated 4x.
-One paired receiver/genie sweep over the full grid feeds both the
-waterfall check and the gap check. Budget: a few minutes total.
+One paired receiver/genie sweep over the full grid, on up to two pool
+workers, feeds both the waterfall check and the gap check. Budget: a few
+minutes total.
 """
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,8 @@ def desk_cfg():
 
 @pytest.fixture(scope="module")
 def genie_result(desk_cfg):
-    return run_genie_compare(desk_cfg)
+    # results are byte-identical for any worker count (tests/test_golden.py)
+    return run_genie_compare(desk_cfg, workers=min(2, os.cpu_count() or 1))
 
 
 def report(capsys, name, ok, detail):

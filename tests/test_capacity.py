@@ -145,6 +145,24 @@ def test_mi_at_minus_inf_is_zero_without_warnings(fn):
     assert p.ebn0_db == math.inf
 
 
+@pytest.mark.parametrize("esn0_db", [-3062.0, -3064.0, -3081.0, -3082.4, -3083.0, -4000.0])
+@pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
+def test_mi_far_below_float_range_is_zero_without_warnings(fn, esn0_db):
+    # mi_bpsk's integrand overflows below about -3063 dB and the noise
+    # variance below about -3082.5 dB; MI there is below 1e-300 bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = fn(esn0_db)
+    assert p.mi_bits == 0.0
+    assert p.ebn0_db == math.inf
+
+
+def test_noise_var_overflow_is_the_zero_snr_limit():
+    assert capacity._noise_var(-3082.0) < math.inf
+    assert capacity._noise_var(-3083.0) == math.inf
+    assert capacity._noise_var(-math.inf) == math.inf
+
+
 @pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
 def test_mi_rejects_nan_without_warnings(fn):
     with warnings.catch_warnings():

@@ -83,17 +83,74 @@ def test_capacity_noiseless_grid_point(tmp_path, modulation, bits):
     assert rows[1:] == [f"inf,{bits:.9f},inf"]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_child(argv):
+    """Run a Python child process that imports dmmsim from this tree."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 def test_capacity_high_snr_bpsk_is_quiet(tmp_path):
     # in a child process, so a warning would reach its stderr
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    argv = [sys.executable, "-m", "dmmsim.cli", "capacity", "--grid=300", "--out-dir", str(tmp_path)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    proc = run_child(["-m", "dmmsim.cli", "capacity", "--grid=300", "--out-dir", str(tmp_path)])
     assert proc.returncode == 0
     assert proc.stderr == ""
     rows = (tmp_path / "capacity_bpsk.csv").read_text().splitlines()
     assert rows[1:] == ["300.0000,1.000000000,300.0000"]
+
+
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_capacity_far_below_float_range_reads_zero_bits(tmp_path, modulation):
+    # below about -3063 dB no float quadrature is possible; MI is under 1e-300
+    argv = ["capacity", "--grid=-3081,-4000", "--modulation", modulation, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    rows = (tmp_path / f"capacity_{modulation}.csv").read_text().splitlines()
+    assert rows[1:] == ["-3081.0000,0.000000000,inf", "-4000.0000,0.000000000,inf"]
+
+
+LAZY_SCIPY_CHILD = """
+import json, math, sys
+from pathlib import Path
+import numpy as np
+import dmmsim
+from dmmsim import cli, simkit
+
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+desk = simkit.load_config(root / "configs" / "desk_scale.json")
+simkit.run_frame(desk, 0, esn0_db=-1.0)
+cfg = json.loads((root / "configs" / "desk_scale.json").read_text())
+cfg["stop"] = {"min_frame_errors": 1, "max_frames": 16}
+(out / "cfg.json").write_text(json.dumps(cfg))
+rc = cli.main(["ber-sweep", str(out / "cfg.json"), "--grid=-1.0,0.5", "--workers", "1",
+               "--out-dir", str(out / "run")])
+loaded = sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules)
+
+# BPSK mutual information at 0 dB by a plain trapezoid over +-14 sigma
+s2 = 0.5
+y = np.linspace(-1 - 14 * math.sqrt(s2), 1 + 14 * math.sqrt(s2), 400001)
+f = 0.5 * (np.exp(-(y - 1) ** 2 / (2 * s2)) + np.exp(-(y + 1) ** 2 / (2 * s2))) / math.sqrt(2 * math.pi * s2)
+hy = float(np.sum(-f * np.log2(f)) * (y[1] - y[0]))
+want = hy - 0.5 * math.log2(2 * math.pi * math.e * s2)
+print(json.dumps({"rc": rc, "loaded": loaded, "mi": dmmsim.mi_bpsk(0.0).mi_bits, "want": want,
+                  "root": dmmsim.esn0_at_mi(0.5)}))
+"""
+
+
+def test_frame_runs_do_not_load_scipy_quadrature(tmp_path):
+    # scipy.integrate and scipy.optimize cost about 50 MiB of resident
+    # memory in every simulation process and its pool workers; only the
+    # capacity functions load them, when first called
+    proc = run_child(["-c", LAZY_SCIPY_CHILD, str(ROOT), str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == 0
+    assert (tmp_path / "run" / "dmm_sweep.csv").exists()
+    assert got["loaded"] == []
+    assert abs(got["mi"] - got["want"]) < 1e-9
+    assert abs(got["root"] - -2.823239579262132) < 1e-6  # the frozen half-bit root
 
 
 def test_capacity_bad_grid_exits_nonzero(tmp_path, capsys):

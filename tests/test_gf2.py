@@ -7,9 +7,17 @@ from dmmsim import gf2
 from oracles import gf2_rank_naive, row_reduce_reference
 
 
+def row_reduce(mat):
+    """``gf2.row_reduce`` on a dense 0/1 matrix: packed on the way in,
+    unpacked on the way out."""
+    M = np.asarray(mat, dtype=np.uint8)
+    P, piv = gf2.row_reduce(np.packbits(M, axis=1), M.shape[1])
+    return np.unpackbits(P, axis=1, count=M.shape[1]), piv
+
+
 def test_identity_is_its_own_rref():
     I = np.eye(5, dtype=np.uint8)
-    R, piv = gf2.row_reduce(I)
+    R, piv = row_reduce(I)
     assert np.array_equal(R, I)
     assert piv == [0, 1, 2, 3, 4]
 
@@ -18,7 +26,7 @@ def test_known_small_reduction():
     # [[1,1,0,1],[1,0,1,0],[0,1,1,1]] reduces by hand to
     # [[1,0,1,0],[0,1,1,1],[0,0,0,0]] with pivots 0,1 (row3 = row1 + row2).
     M = [[1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 1]]
-    R, piv = gf2.row_reduce(M)
+    R, piv = row_reduce(M)
     assert piv == [0, 1]
     assert np.array_equal(R, [[1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 0, 0]])
 
@@ -26,7 +34,7 @@ def test_known_small_reduction():
 def test_pivot_columns_are_unit_vectors():
     rng = np.random.default_rng(7)
     M = rng.integers(0, 2, size=(12, 20), dtype=np.uint8)
-    R, piv = gf2.row_reduce(M)
+    R, piv = row_reduce(M)
     for i, c in enumerate(piv):
         col = R[:, c]
         assert col[i] == 1
@@ -36,8 +44,8 @@ def test_pivot_columns_are_unit_vectors():
 def test_rref_is_idempotent():
     rng = np.random.default_rng(11)
     M = rng.integers(0, 2, size=(9, 15), dtype=np.uint8)
-    R, piv = gf2.row_reduce(M)
-    R2, piv2 = gf2.row_reduce(R)
+    R, piv = row_reduce(M)
+    R2, piv2 = row_reduce(R)
     assert np.array_equal(R, R2)
     assert piv == piv2
 
@@ -61,25 +69,49 @@ def test_row_space_preserved():
     # stacking them cannot raise the rank.
     rng = np.random.default_rng(5)
     M = rng.integers(0, 2, size=(8, 13), dtype=np.uint8)
-    R, piv = gf2.row_reduce(M)
+    R, piv = row_reduce(M)
     stacked = np.vstack([M, R])
     assert gf2.rank(stacked) == len(piv)
 
 
+def test_packed_input_is_left_unchanged_and_padding_ignored():
+    rng = np.random.default_rng(17)
+    M = rng.integers(0, 2, size=(10, 21), dtype=np.uint8)
+    P = np.packbits(M, axis=1)
+    P[:, -1] |= 0x07  # the three bits past column 20
+    before = P.copy()
+    R, piv = gf2.row_reduce(P, 21)
+    assert np.array_equal(P, before)
+    R_ref, piv_ref = row_reduce_reference(M)
+    assert R.tobytes() == np.packbits(R_ref, axis=1).tobytes()
+    assert piv == piv_ref
+
+
+@pytest.mark.parametrize("n_cols", [8, 17, -1])
+def test_rejects_width_not_matching_n_cols(n_cols):
+    with pytest.raises(ValueError, match="packed bytes per row"):
+        gf2.row_reduce(np.zeros((3, 2), dtype=np.uint8), n_cols)
+
+
+def test_rejects_unpacked_dtype():
+    with pytest.raises(ValueError, match="uint8"):
+        gf2.row_reduce(np.zeros((3, 2), dtype=np.int64), 16)
+
+
 def test_rejects_non_2d():
     with pytest.raises(ValueError, match="2-D"):
-        gf2.row_reduce(np.zeros(4, dtype=np.uint8))
+        gf2.row_reduce(np.zeros(4, dtype=np.uint8), 4)
 
 
 @pytest.mark.parametrize("shape", [(0, 13), (5, 0)], ids=["no-rows", "no-columns"])
 def test_empty_matrix(shape):
-    R, piv = gf2.row_reduce(np.zeros(shape, dtype=np.uint8))
+    R, piv = row_reduce(np.zeros(shape, dtype=np.uint8))
     assert R.shape == shape and R.dtype == np.uint8
     assert piv == []
 
 
 def test_single_column():
-    R, piv = gf2.row_reduce([[0], [1]])
+    R, piv = row_reduce([[0], [1]])
     assert np.array_equal(R, [[1], [0]])
     assert piv == [0]
 
@@ -92,7 +124,7 @@ def test_pivot_in_last_partial_byte(n):
     M = np.zeros((3, n), dtype=np.uint8)
     M[0, [0, n - 1]] = 1
     M[1, n - 1] = 1
-    R, piv = gf2.row_reduce(M)
+    R, piv = row_reduce(M)
     expect = np.zeros((3, n), dtype=np.uint8)
     expect[0, 0] = expect[1, n - 1] = 1
     assert piv == [0, n - 1]
@@ -119,8 +151,10 @@ def binary_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(M=binary_matrices())
 def test_matches_reference_kernel(M):
-    R, piv = gf2.row_reduce(M)
+    P, piv_packed = gf2.row_reduce(np.packbits(M, axis=1), M.shape[1])
+    R, piv = row_reduce(M)
     R_ref, piv_ref = row_reduce_reference(M)
+    assert P.tobytes() == np.packbits(R_ref, axis=1).tobytes() and piv_packed == piv_ref
     assert R.dtype == R_ref.dtype and R.shape == R_ref.shape
     assert R.tobytes() == R_ref.tobytes()
     assert piv == piv_ref
