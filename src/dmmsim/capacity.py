@@ -1,6 +1,6 @@
 """Mutual information of BPSK and QPSK inputs over AWGN, computed as
-output entropy minus noise entropy, plus the distance-based bound on
-the rotation-borne stream's code rate.
+output entropy minus noise entropy, plus the distance heuristic R1/4
+for the rotation-borne stream's code rate.
 
 BPSK is treated as one-dimensional: the decision variable sees the
 per-dimension noise variance sigma2_total / 2. QPSK is computed as a
@@ -196,11 +196,15 @@ def mi_grid(esn0_grid_db, modulation="bpsk"):
 
 
 def rate_bound_outer(r1):
-    """Upper bound r1/4 on the rotation-borne stream's rate.
+    """Distance heuristic r1/4 for the rotation-borne stream's rate.
 
-    The in-pair squared distance (4 Es) is four times the cross-pair
-    one (2 Es) after noise normalization, so the outer stream supports
-    at most a quarter of the inner rate.
+    The squared distance within a rotation pair (4 Es) is twice the one
+    across pairs (2 Es); from that geometry the rule of thumb keeps the
+    outer rate below a quarter of the inner rate. It is not an
+    information bound: the rotation bit's level capacity
+    I(V2;Y) = C_QPSK - C_BPSK exceeds 1/8 bit from about -2.21 dB Es/N0
+    and tends to 1 bit as Es/N0 grows, so capacity does not exclude an
+    outer rate above r1/4.
     """
     if not 0.0 < r1 <= 1.0:
         raise ValueError("r1 must lie in (0, 1]")

@@ -44,7 +44,9 @@ def parse_grid(text):
     if not text:
         raise ConfigError("grid is empty")
     is_range = ":" in text
-    parts = text.split(":") if is_range else [x for x in text.split(",") if x.strip()]
+    parts = text.split(":" if is_range else ",")
+    if not is_range and not all(x.strip() for x in parts):
+        raise ConfigError(f"grid {text!r} has an empty entry")
     try:
         vals = [float(x) for x in parts]
     except ValueError:
@@ -120,7 +122,7 @@ def cmd_ber_sweep(args, argv):
         stem = "dmm_sweep"
     csv_path = out_dir / f"{stem}.csv"
     write_sweep_csv(result, csv_path)
-    manifest = build_manifest(cfg, _command_string(argv), [csv_path], eta=result.eta)
+    manifest = build_manifest(cfg, _command_string(argv), [csv_path], eta=result.eta, points=result.points)
     man_path = out_dir / f"{stem}_manifest.json"
     write_manifest(manifest, man_path)
     for p in result.points:
@@ -139,7 +141,9 @@ def cmd_genie_compare(args, argv):
     result = run_genie_compare(cfg, workers=args.workers)
     csv_path = out_dir / "genie_compare.csv"
     write_genie_csv(result, csv_path)
-    manifest = build_manifest(cfg, _command_string(argv), [csv_path])
+    manifest = build_manifest(
+        cfg, _command_string(argv), [csv_path], points=[gp.affected for gp in result.points]
+    )
     man_path = out_dir / "genie_compare_manifest.json"
     write_manifest(manifest, man_path)
     for gp in result.points:
@@ -159,7 +163,7 @@ def cmd_rate_bound(args, argv):
         raise ConfigError(f"r1 must be in (0, 1), got {args.r1}")
     bound = rate_bound_outer(args.r1)
     print(f"R1 = {args.r1:.6f}")
-    print(f"outer rate bound: R2 < R1/4 = {bound:.6f}")
+    print(f"outer rate heuristic (from distances, not a capacity bound): R2 < R1/4 = {bound:.6f}")
     print("guidance at R1 = 1/2: keep R2 below 1/8 = 0.125000")
     if args.r2 is not None:
         if not 0 < args.r2 < 1:
@@ -185,7 +189,7 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog=PROG,
         description="Two-stream modulation testbench: capacity curves, BER sweeps, "
-        "rotation-genie comparisons and outer-rate bounds.",
+        "rotation-genie comparisons and the outer-rate distance heuristic.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -205,7 +209,7 @@ def build_parser():
     _add_run_flags(sp)
     sp.set_defaults(func=cmd_genie_compare)
 
-    sp = sub.add_parser("rate-bound", help="outer-rate admissibility for a given inner rate")
+    sp = sub.add_parser("rate-bound", help="outer-rate distance heuristic R1/4 for a given inner rate")
     sp.add_argument("r1", type=float, help="inner code rate")
     sp.add_argument("--r2", type=float, help="outer rate to validate")
     sp.set_defaults(func=cmd_rate_bound)

@@ -24,7 +24,6 @@ import math
 import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -404,36 +403,63 @@ def _stopped(cfg, counters):
     )
 
 
-def _run_point(cfg, esn0_db, kind, workers, pool):
-    """Accumulate batches in index order until the stopping rule fires.
+def _batch_args(cfg, esn0_db, kind, j):
+    """Pool arguments of batch j of a point, or None past max_frames."""
+    lo = j * cfg.batch_frames
+    if lo >= cfg.max_frames:
+        return None
+    return (esn0_db, kind, lo, min(lo + cfg.batch_frames, cfg.max_frames))
 
-    Batches are merged strictly in batch order and the rule is checked
-    before each merge, so the counted frame set is identical for every
-    worker count; surplus batches computed by idle workers are discarded.
-    """
+
+def _run_point(cfg, esn0_db, kind):
+    """Accumulate one point's batches in index order until the stopping
+    rule fires; the rule is checked at batch boundaries only."""
     primary, genie = _Counters(), _Counters()
     j = 0
-    bf = cfg.batch_frames
     while not _stopped(cfg, primary):
-        window = []
-        for w in range(workers):
-            lo = (j + w) * bf
-            if lo >= cfg.max_frames:
+        batch_primary, batch_genie = _run_batch(cfg, *_batch_args(cfg, esn0_db, kind, j))
+        primary += batch_primary
+        genie += batch_genie
+        j += 1
+    return primary, genie
+
+
+def _run_rounds(cfg, kind, workers, pool):
+    """(primary, genie) of every grid point, run on the pool in rounds.
+
+    A round maps the next unmerged batch of every open point, in grid
+    order. Only when fewer points than workers are open is the round
+    topped up to ``workers`` with further batches of the open points, by
+    depth, then grid order. Each point merges its results strictly in
+    batch order and checks the stopping rule before each merge, so it
+    counts the frames the serial loop counts; a batch of a point that has
+    stopped is discarded, which only the top-up can produce.
+    """
+    grid = cfg.esn0_grid_db
+    counters = [(_Counters(), _Counters()) for _ in grid]
+    merged = [0] * len(grid)  # batches merged so far, per point
+    while True:
+        open_points = [i for i, (primary, _) in enumerate(counters) if not _stopped(cfg, primary)]
+        if not open_points:
+            return counters
+        window = [(i, _batch_args(cfg, grid[i], kind, merged[i])) for i in open_points]
+        depth = 1
+        while len(window) < workers:
+            extra = [
+                (i, args) for i in open_points if (args := _batch_args(cfg, grid[i], kind, merged[i] + depth))
+            ]
+            if not extra:
                 break
-            window.append((esn0_db, kind, lo, min(lo + bf, cfg.max_frames)))
-        if not window:
-            break
-        if pool is None:
-            results = [_run_batch(cfg, *args) for args in window]
-        else:
-            results = list(pool.map(_pool_batch, window))
-        for batch_primary, batch_genie in results:
+            window += extra[: workers - len(window)]
+            depth += 1
+        results = pool.map(_pool_batch, [args for _i, args in window])
+        for (i, _args), (batch_primary, batch_genie) in zip(window, results):
+            primary, genie = counters[i]
             if _stopped(cfg, primary):
-                break
+                continue
             primary += batch_primary
             genie += batch_genie
-        j += len(window)
-    return primary, genie
+            merged[i] += 1
 
 
 def _make_point(esn0_db, eta, c):
@@ -466,14 +492,15 @@ def check_workers(workers):
 
 
 def _grid(cfg, kind, workers, make):
-    """make(esn0_db, primary, genie) per grid point, sharing one pool when workers > 1."""
+    """make(esn0_db, primary, genie) per grid point: point after point on
+    one worker, in rounds across the grid on a pool of several."""
     check_workers(workers)
-    if workers > 1:
-        executor = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,))
+    if workers == 1:
+        counts = [_run_point(cfg, esn0, kind) for esn0 in cfg.esn0_grid_db]
     else:
-        executor = nullcontext()
-    with executor as pool:
-        return [make(esn0, *_run_point(cfg, esn0, kind, workers, pool)) for esn0 in cfg.esn0_grid_db]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,)) as pool:
+            counts = _run_rounds(cfg, kind, workers, pool)
+    return [make(esn0, *c) for esn0, c in zip(cfg.esn0_grid_db, counts)]
 
 
 def _sweep(cfg, kind, eta, workers):
@@ -606,7 +633,16 @@ def config_to_dict(cfg):
     }
 
 
-def build_manifest(cfg, command, outputs, eta=None):
+def _stop_record(cfg, p):
+    """Frames, frame errors and the stopping rule that ended one point;
+    read from its counters, so the same for any worker count."""
+    stop = "min_frame_errors" if p.frame_errors >= cfg.min_frame_errors else "max_frames"
+    return {"esn0_db": p.esn0_db, "frames": p.frames, "frame_errors": p.frame_errors, "stop": stop}
+
+
+def build_manifest(cfg, command, outputs, eta=None, points=()):
+    """Run manifest; ``points`` are the SweepPoints whose counters drove
+    the stopping rule, listed with the reason each point stopped."""
     return {
         "command": command,
         "config": config_to_dict(cfg),
@@ -614,6 +650,7 @@ def build_manifest(cfg, command, outputs, eta=None):
         "eta": cfg.eta if eta is None else eta,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
+        "points": [_stop_record(cfg, p) for p in points],
         "code_fingerprints": {
             "inner": cfg.inner.fingerprint(),
             "outer_base": cfg.outer.base.fingerprint(),

@@ -107,7 +107,7 @@ def test_constellation_geometry(capsys):
         "constellation geometry",
         ok,
         "in-pair distance^2 = 4Es and cross-pair = 2Es exactly; "
-        f"rate bound at r1=1/2 is {rate_bound_outer(0.5)}",
+        f"R1/4 heuristic at r1=1/2 is {rate_bound_outer(0.5)} (arithmetic only)",
     )
 
 

@@ -57,6 +57,10 @@ def test_parse_grid_range_and_list():
         with pytest.raises(ConfigError, match="NaN"):
             parse_grid(text)
     assert parse_grid("inf") == (math.inf,)  # noiseless
+    # an empty list entry is malformed, not skipped
+    for text in ("1,,2", "1,", " ,3"):
+        with pytest.raises(ConfigError, match="empty entry"):
+            parse_grid(text)
 
 
 def test_capacity_subcommand(tmp_path, capsys):
@@ -177,6 +181,28 @@ def test_ber_sweep_writes_csv_and_manifest(cfg_path, tmp_path, capsys):
     lines = csv1.decode().splitlines()
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "-1.0000"
+
+
+def test_grid_with_empty_entry_exits_2(tmp_path, capsys):
+    assert main(["capacity", "--grid", "1,,2", "--out-dir", str(tmp_path)]) == 2
+    assert "empty entry" in capsys.readouterr().err
+    assert not (tmp_path / "capacity_bpsk.csv").exists()
+
+
+@pytest.mark.parametrize("command, stem", [("ber-sweep", "dmm_sweep"), ("genie-compare", "genie_compare")])
+def test_manifest_lists_why_each_point_stopped(cfg_path, tmp_path, command, stem):
+    manifests = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main([command, str(cfg_path), "--workers", workers, "--out-dir", str(out)]) == 0
+        manifests.append(json.loads((out / f"{stem}_manifest.json").read_text()))
+        header, *rows = (out / f"{stem}.csv").read_text().splitlines()
+        frames = header.split(",").index("frames")
+        assert [p["frames"] for p in manifests[-1]["points"]] == [int(r.split(",")[frames]) for r in rows]
+    assert manifests[0]["points"] == manifests[1]["points"] == [
+        {"esn0_db": -1.0, "frames": 16, "frame_errors": 8, "stop": "min_frame_errors"},
+        {"esn0_db": 2.0, "frames": 32, "frame_errors": 0, "stop": "max_frames"},
+    ]
 
 
 def test_ber_sweep_worker_invariance(cfg_path, tmp_path):

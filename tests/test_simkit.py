@@ -193,6 +193,34 @@ def test_sweep_worker_count_invariant():
     assert run_sweep(cfg, workers=1) == run_sweep(cfg, workers=2)
 
 
+# all-error, waterfall and error-free points of small_config's codes
+INVARIANCE_GRID_DB = (-10.0, -2.0, -1.0, 0.0, 12.0)
+
+
+@st.composite
+def pooled_configs(draw):
+    batch_frames = draw(st.integers(1, 8))
+    # the last batch is partial unless batch_frames is 1
+    max_frames = batch_frames * draw(st.integers(0, 4)) + draw(st.integers(1, max(batch_frames - 1, 1)))
+    return small_config(
+        esn0_grid_db=tuple(draw(st.lists(st.sampled_from(INVARIANCE_GRID_DB), min_size=1, max_size=5))),
+        batch_frames=batch_frames,
+        max_frames=max_frames,
+        min_frame_errors=draw(st.integers(1, 6)),
+    )
+
+
+# every example forks three pools
+@settings(max_examples=8, deadline=None)
+@given(cfg=pooled_configs())
+@example(cfg=small_config(esn0_grid_db=(-10.0, -1.0, 12.0), batch_frames=4, max_frames=10, min_frame_errors=3))
+# one open point: the pool runs a speculative batch that must be discarded
+@example(cfg=small_config(esn0_grid_db=(-10.0,), batch_frames=2, max_frames=9, min_frame_errors=1))
+def test_grid_results_invariant_to_workers(cfg):
+    for run in (run_sweep, run_bpsk_baseline, run_genie_compare):
+        assert run(cfg, workers=1) == run(cfg, workers=2)
+
+
 def test_sweep_stops_at_batch_boundary():
     # At very low SNR every frame errors, so counting stops at the first
     # batch boundary at or past min_frame_errors.
@@ -332,6 +360,14 @@ def test_manifest_contents(tmp_path):
     assert man["eta"] == pytest.approx(7 / 12)
     assert man["config"]["inner_code"]["kind"] == "random_regular"
     assert man["config"]["stop"] == {"min_frame_errors": 5, "max_frames": 64}
+    assert man["points"] == []
+    # a point that reaches both limits at once stopped on its frame errors
+    both = small_config(esn0_grid_db=(-10.0, 12.0), batch_frames=4, max_frames=4, min_frame_errors=4)
+    man_both = build_manifest(both, "unit-test", [], points=run_sweep(both).points)
+    assert man_both["points"] == [
+        {"esn0_db": -10.0, "frames": 4, "frame_errors": 4, "stop": "min_frame_errors"},
+        {"esn0_db": 12.0, "frames": 4, "frame_errors": 0, "stop": "max_frames"},
+    ]
     out = tmp_path / "manifest.json"
     write_manifest(man, out)
     again = json.loads(out.read_text())

@@ -1,17 +1,26 @@
 """The traced benchmark run (perfbench/spans.py) wraps dmmsim functions
 where the calling module binds them. Each one must still be there, so a
 refactor that renames or moves one fails here, not only in a traced run.
-The file is read, never changed."""
+The file is read, never changed. The tracer counts the frames a pool
+computes in ``ProcessPoolExecutor.map`` alone, so the pool contract is
+pinned here too."""
 
 import importlib.util
 import inspect
+import json
+import math
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from dmmsim import capacity, simkit
+from test_simkit import small_config
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -54,3 +63,67 @@ def test_capacity_calls_mi_functions_at_call_time(monkeypatch):
     capacity.esn0_at_mi(0.5, "bpsk")
     capacity.esn0_at_mi(0.5, "qpsk")
     assert calls["mi_bpsk"] > 2 and calls["mi_qpsk"] > 3
+
+
+@pytest.fixture
+def map_windows(monkeypatch):
+    """The windows the sweep maps on its pool, recorded as the tracer's
+    pool class sees them: the frames of a window are counted in ``map``."""
+    windows = []
+
+    class RecordingPool(simkit.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            window = list(iterables[0])
+            windows.append(window)
+            return super().map(fn, window, *iterables[1:], **kwargs)
+
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", RecordingPool)
+    return windows
+
+
+@pytest.mark.parametrize("run", [simkit.run_sweep, simkit.run_genie_compare])
+def test_pool_maps_only_counted_frames(map_windows, run):
+    # shaped like the parallel-cli workload: three points stop on frame
+    # errors after batch 0, three run their whole two-batch budget
+    cfg = small_config(
+        esn0_grid_db=(-10.0, -9.0, -8.0, 12.0, 13.0, 14.0), batch_frames=4, max_frames=8, min_frame_errors=3
+    )
+    res = run(cfg, workers=2)
+    # a GeniePoint's frames are its affected branch's
+    counted = {p.esn0_db: getattr(p, "affected", p).frames for p in res.points}
+    assert sorted(counted.values()) == [4, 4, 4, 8, 8, 8]
+    mapped = dict.fromkeys(counted, 0)
+    for window in map_windows:
+        for esn0_db, _kind, lo, hi in window:
+            assert lo % cfg.batch_frames == 0 and hi == min(lo + cfg.batch_frames, cfg.max_frames)
+            mapped[esn0_db] += hi - lo
+    assert mapped == counted
+    # the tracer's pool note reads each window item's last two fields
+    assert sum(hi - lo for w in map_windows for *_, lo, hi in w) == sum(counted.values())
+
+
+@pytest.mark.parametrize("esn0_db", [-10.0, 12.0])
+def test_one_point_surplus_below_one_batch_per_worker(map_windows, esn0_db):
+    workers = 2
+    cfg = small_config(esn0_grid_db=(esn0_db,), batch_frames=2, max_frames=7, min_frame_errors=1)
+    res = simkit.run_sweep(cfg, workers=workers)
+    assert res == simkit.run_sweep(cfg)
+    frames = res.points[0].frames
+    mapped = sum(len(w) for w in map_windows)
+    assert 0 <= mapped - math.ceil(frames / cfg.batch_frames) <= workers - 1
+    assert all(len(w) == workers for w in map_windows[:-1])
+
+
+@pytest.mark.slow
+def test_traced_parallel_cli_computes_only_counted_frames(tmp_path):
+    # run on a copy, so the benchmark's output directory stays out of the tree
+    for rel in ("perfbench", "src", "configs"):
+        shutil.copytree(ROOT / rel, tmp_path / rel, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    argv = ["perfbench/run.py", "--workload", "parallel-cli", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["simkit.frames_computed"]["value"] == metrics["simkit.frames_counted"]["value"] > 0
