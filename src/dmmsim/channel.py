@@ -21,9 +21,10 @@ class ChannelParams:
     sigma2_total: float
 
     def __post_init__(self):
-        if self.es <= 0:
-            raise ValueError("es must be positive")
-        if self.sigma2_total < 0:
+        # written as what must hold, so that NaN fails each check
+        if not 0 < self.es < math.inf:
+            raise ValueError("es must be positive and finite")
+        if not self.sigma2_total >= 0:
             raise ValueError("sigma2_total must be non-negative")
 
     @property

@@ -111,51 +111,49 @@ def cmd_capacity(args, argv):
     return 0
 
 
-def cmd_ber_sweep(args, argv):
+def _sweep_line(p):
+    return (
+        f"  esn0={p.esn0_db:.4f} dB ebn0={p.ebn0_db:.4f} dB "
+        f"ber={p.ber_combined:.3e} fer={p.fer:.3e} frames={p.frames}"
+    )
+
+
+def _genie_line(gp):
+    tag = "insignificant" if gp.insignificant else "significant"
+    return (
+        f"  esn0={gp.esn0_db:.4f} dB gap={gp.gap_inner_ber:.3e} "
+        f"ci95={gp.ci95_affected + gp.ci95_genie:.3e} ({tag}, "
+        f"{gp.affected.frames} frames)"
+    )
+
+
+def _run_command(args, argv, run, stem, write_csv, point_line):
+    """Load, run, write <stem>.csv and <stem>_manifest.json, and print one
+    line per point. Callers look ``run`` and ``write_csv`` up as they run,
+    not from a table built at import, so a wrapper bound over this
+    module's name (as the traced benchmark binds one) is the one called."""
     cfg = _load_with_overrides(args)
     out_dir = _out_dir(args)
-    if args.baseline:
-        result = run_bpsk_baseline(cfg, workers=args.workers)
-        stem = "bpsk_baseline"
-    else:
-        result = run_sweep(cfg, workers=args.workers)
-        stem = "dmm_sweep"
+    result = run(cfg, workers=args.workers)
     csv_path = out_dir / f"{stem}.csv"
-    write_sweep_csv(result, csv_path)
-    manifest = build_manifest(cfg, _command_string(argv), [csv_path], eta=result.eta, points=result.points)
+    write_csv(result, csv_path)
+    manifest = build_manifest(cfg, result, _command_string(argv), [csv_path])
     man_path = out_dir / f"{stem}_manifest.json"
     write_manifest(manifest, man_path)
     for p in result.points:
-        print(
-            f"  esn0={p.esn0_db:.4f} dB ebn0={p.ebn0_db:.4f} dB "
-            f"ber={p.ber_combined:.3e} fer={p.fer:.3e} frames={p.frames}"
-        )
+        print(point_line(p))
     print(f"wrote {csv_path}")
     print(f"wrote {man_path}")
     return 0
+
+
+def cmd_ber_sweep(args, argv):
+    run, stem = (run_bpsk_baseline, "bpsk_baseline") if args.baseline else (run_sweep, "dmm_sweep")
+    return _run_command(args, argv, run, stem, write_sweep_csv, _sweep_line)
 
 
 def cmd_genie_compare(args, argv):
-    cfg = _load_with_overrides(args)
-    out_dir = _out_dir(args)
-    result = run_genie_compare(cfg, workers=args.workers)
-    csv_path = out_dir / "genie_compare.csv"
-    write_genie_csv(result, csv_path)
-    manifest = build_manifest(
-        cfg, _command_string(argv), [csv_path], points=[gp.affected for gp in result.points]
-    )
-    man_path = out_dir / "genie_compare_manifest.json"
-    write_manifest(manifest, man_path)
-    for gp in result.points:
-        tag = "insignificant" if gp.insignificant else "significant"
-        print(
-            f"  esn0={gp.esn0_db:.4f} dB gap={gp.gap_inner_ber:.3e} "
-            f"ci95={gp.ci95_affected + gp.ci95_genie:.3e} ({tag}, "
-            f"{gp.affected.frames} frames)"
-        )
-    print(f"wrote {csv_path}")
-    print(f"wrote {man_path}")
-    return 0
+    return _run_command(args, argv, run_genie_compare, "genie_compare", write_genie_csv, _genie_line)
 
 
 def cmd_rate_bound(args, argv):

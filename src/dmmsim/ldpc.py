@@ -449,7 +449,8 @@ class RepetitionCode:
     rep_factor: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.rep_factor, int) or self.rep_factor < 1:
+        # bool is a subclass of int, but True is not a repetition count
+        if not isinstance(self.rep_factor, int) or isinstance(self.rep_factor, bool) or self.rep_factor < 1:
             raise ValueError("rep_factor must be an integer >= 1")
 
     @property

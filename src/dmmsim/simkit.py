@@ -26,6 +26,7 @@ import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,14 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _check_esn0(v, label):
+    """An Es/N0 in dB as a float: a real number, not NaN and not -inf
+    (+inf is the noiseless limit)."""
+    if not _is_real(v) or math.isnan(v) or v == -math.inf:
+        raise ConfigError(f"{label} {v!r} must be a number, not NaN or -inf")
+    return float(v)
+
+
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 
 # (field, its name in a config file, requirement, test) for each scalar field
@@ -123,11 +132,9 @@ class SystemConfig:
             raise ConfigError(
                 f"esn0_grid_db has {len(self.esn0_grid_db)} points, more than {MAX_GRID_POINTS}"
             )
-        for v in self.esn0_grid_db:
-            if not _is_real(v) or math.isnan(v) or v == -math.inf:
-                raise ConfigError(f"esn0_grid_db entry {v!r} must be a number, not NaN or -inf")
+        grid = tuple(_check_esn0(v, "esn0_grid_db entry") for v in self.esn0_grid_db)
         object.__setattr__(self, "es", float(self.es))
-        object.__setattr__(self, "esn0_grid_db", tuple(float(v) for v in self.esn0_grid_db))
+        object.__setattr__(self, "esn0_grid_db", grid)
 
     @property
     def r1(self):
@@ -169,7 +176,7 @@ class FrameTrace:
 
 def _resolve_esn0(cfg, esn0_db):
     if esn0_db is not None:
-        return float(esn0_db)
+        return _check_esn0(esn0_db, "esn0_db")
     if len(cfg.esn0_grid_db) != 1:
         raise ConfigError("esn0_db is required when the grid has several points")
     return cfg.esn0_grid_db[0]
@@ -311,49 +318,94 @@ class _Counters:
         return self
 
 
+def _ratio(num, den):
+    """A property: attribute ``num`` over attribute ``den``, 0.0 when ``den`` is 0."""
+
+    def get(self):
+        d = getattr(self, den)
+        return getattr(self, num) / d if d else 0.0
+
+    return property(get)
+
+
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid point: its Es/N0, its Eb/N0 and the counters of the frames
+    it ran, stored once; every rate and mean is computed from them."""
+
     esn0_db: float
     ebn0_db: float
-    ber_inner: float
-    ber_outer: float
-    ber_combined: float
-    fer: float
     frames: int
-    bits_inner: int
-    bits_outer: int
     errs_inner: int
     errs_outer: int
+    bits_inner: int
+    bits_outer: int
     frame_errors: int
-    iters_inner_mean: float
-    iters_outer_mean: float
+    iters_inner_sum: int
+    iters_outer_sum: int
+
+    @property
+    def errs(self):
+        return self.errs_inner + self.errs_outer
 
     @property
     def bits(self):
         return self.bits_inner + self.bits_outer
 
+    ber_inner = _ratio("errs_inner", "bits_inner")
+    ber_outer = _ratio("errs_outer", "bits_outer")
+    ber_combined = _ratio("errs", "bits")
+    fer = _ratio("frame_errors", "frames")
+    iters_inner_mean = _ratio("iters_inner_sum", "frames")
+    iters_outer_mean = _ratio("iters_outer_sum", "frames")
 
-@dataclass
-class SweepResult:
-    mode: str
-    eta: float
-    points: list
+
+def _ci95_halfwidth(errs, bits):
+    if bits == 0:
+        return 0.0
+    p = errs / bits
+    return 1.96 * math.sqrt(p * (1.0 - p) / bits)
 
 
 @dataclass(frozen=True)
 class GeniePoint:
-    esn0_db: float
-    ebn0_db: float
+    """The two branches of one paired grid point, on the same frames:
+    derotated by the receiver's rebuilt rotation bits and by the true ones."""
+
     affected: SweepPoint
     genie: SweepPoint
-    gap_inner_ber: float
-    ci95_affected: float
-    ci95_genie: float
-    insignificant: bool
+
+    @property
+    def esn0_db(self):
+        return self.affected.esn0_db
+
+    @property
+    def ebn0_db(self):
+        return self.affected.ebn0_db
+
+    @property
+    def gap_inner_ber(self):
+        return abs(self.affected.ber_inner - self.genie.ber_inner)
+
+    @property
+    def ci95_affected(self):
+        return _ci95_halfwidth(self.affected.errs_inner, self.affected.bits_inner)
+
+    @property
+    def ci95_genie(self):
+        return _ci95_halfwidth(self.genie.errs_inner, self.genie.bits_inner)
+
+    @property
+    def insignificant(self):
+        return self.gap_inner_ber <= self.ci95_affected + self.ci95_genie
 
 
 @dataclass
-class GenieCompareResult:
+class SweepResult:
+    """One run over the grid: SweepPoints in mode "dmm" or "baseline",
+    GeniePoints in mode "pair"."""
+
+    mode: str
     eta: float
     points: list
 
@@ -397,10 +449,13 @@ def _pool_batch(args):
 
 
 def _stopped(cfg, counters):
-    return (
-        counters.frame_errors >= cfg.min_frame_errors
-        or counters.frames >= cfg.max_frames
-    )
+    """The stopping rule that counters have met, or None while the point
+    runs; frame errors win when both limits are reached at once."""
+    if counters.frame_errors >= cfg.min_frame_errors:
+        return "min_frame_errors"
+    if counters.frames >= cfg.max_frames:
+        return "max_frames"
+    return None
 
 
 def _batch_args(cfg, esn0_db, kind, j):
@@ -463,25 +518,7 @@ def _run_rounds(cfg, kind, workers, pool):
 
 
 def _make_point(esn0_db, eta, c):
-    def ratio(a, b):
-        return a / b if b else 0.0
-
-    return SweepPoint(
-        esn0_db=esn0_db,
-        ebn0_db=ebn0_from_esn0(esn0_db, eta),
-        ber_inner=ratio(c.errs_inner, c.bits_inner),
-        ber_outer=ratio(c.errs_outer, c.bits_outer),
-        ber_combined=ratio(c.errs_inner + c.errs_outer, c.bits_inner + c.bits_outer),
-        fer=ratio(c.frame_errors, c.frames),
-        frames=c.frames,
-        bits_inner=c.bits_inner,
-        bits_outer=c.bits_outer,
-        errs_inner=c.errs_inner,
-        errs_outer=c.errs_outer,
-        frame_errors=c.frame_errors,
-        iters_inner_mean=ratio(c.iters_inner_sum, c.frames),
-        iters_outer_mean=ratio(c.iters_outer_sum, c.frames),
-    )
+    return SweepPoint(esn0_db, ebn0_from_esn0(esn0_db, eta), **vars(c))
 
 
 def check_workers(workers):
@@ -491,20 +528,19 @@ def check_workers(workers):
         raise ConfigError(f"workers must be an integer in [1, {cores}], got {workers!r}")
 
 
-def _grid(cfg, kind, workers, make):
-    """make(esn0_db, primary, genie) per grid point: point after point on
-    one worker, in rounds across the grid on a pool of several."""
+def _sweep(cfg, kind, eta, workers):
+    """A SweepResult over the grid: point after point on one worker, in
+    rounds across the grid on a pool of several."""
     check_workers(workers)
     if workers == 1:
         counts = [_run_point(cfg, esn0, kind) for esn0 in cfg.esn0_grid_db]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,)) as pool:
             counts = _run_rounds(cfg, kind, workers, pool)
-    return [make(esn0, *c) for esn0, c in zip(cfg.esn0_grid_db, counts)]
-
-
-def _sweep(cfg, kind, eta, workers):
-    points = _grid(cfg, kind, workers, lambda esn0, c, _genie: _make_point(esn0, eta, c))
+    points = []
+    for esn0, (primary, genie) in zip(cfg.esn0_grid_db, counts):
+        point = _make_point(esn0, eta, primary)
+        points.append(GeniePoint(point, _make_point(esn0, eta, genie)) if kind == "pair" else point)
     return SweepResult(mode=kind, eta=eta, points=points)
 
 
@@ -523,82 +559,68 @@ def run_bpsk_baseline(cfg, workers=1):
     return _sweep(cfg, "baseline", cfg.r1, workers)
 
 
-def _ci95_halfwidth(errs, bits):
-    if bits == 0:
-        return 0.0
-    p = errs / bits
-    return 1.96 * math.sqrt(p * (1.0 - p) / bits)
-
-
-def _genie_point(cfg, esn0, aff_c, gen_c):
-    aff = _make_point(esn0, cfg.eta, aff_c)
-    gen = _make_point(esn0, cfg.eta, gen_c)
-    gap = abs(aff.ber_inner - gen.ber_inner)
-    ci_a = _ci95_halfwidth(aff.errs_inner, aff.bits_inner)
-    ci_g = _ci95_halfwidth(gen.errs_inner, gen.bits_inner)
-    return GeniePoint(
-        esn0_db=esn0,
-        ebn0_db=aff.ebn0_db,
-        affected=aff,
-        genie=gen,
-        gap_inner_ber=gap,
-        ci95_affected=ci_a,
-        ci95_genie=ci_g,
-        insignificant=gap <= ci_a + ci_g,
-    )
-
-
 def run_genie_compare(cfg, workers=1):
     """Paired sweeps on shared noise: receiver-estimated rotation bits
     vs the true ones. Both branches see the identical frame set; the
     stopping rule follows the error-affected branch. Outer-stream
     numbers are common to both branches by construction."""
-    points = _grid(cfg, "pair", workers, lambda esn0, a, g: _genie_point(cfg, esn0, a, g))
-    return GenieCompareResult(eta=cfg.eta, points=points)
+    return _sweep(cfg, "pair", cfg.eta, workers)
 
 
 # ------------------------------------------------------------ persistence
 
 
+# A CSV column is (header, value of a point, format spec); one table per
+# file drives both its header and its rows.
 SWEEP_COLUMNS = (
-    "esn0_db,ebn0_db,ber_inner,ber_outer,ber_combined,fer,frames,bits,"
-    "bits_inner,bits_outer,errs_inner,errs_outer,frame_errors,"
-    "iters_inner_mean,iters_outer_mean"
+    ("esn0_db", attrgetter("esn0_db"), ".4f"),
+    ("ebn0_db", attrgetter("ebn0_db"), ".4f"),
+    ("ber_inner", attrgetter("ber_inner"), ".6e"),
+    ("ber_outer", attrgetter("ber_outer"), ".6e"),
+    ("ber_combined", attrgetter("ber_combined"), ".6e"),
+    ("fer", attrgetter("fer"), ".6e"),
+    ("frames", attrgetter("frames"), "d"),
+    ("bits", attrgetter("bits"), "d"),
+    ("bits_inner", attrgetter("bits_inner"), "d"),
+    ("bits_outer", attrgetter("bits_outer"), "d"),
+    ("errs_inner", attrgetter("errs_inner"), "d"),
+    ("errs_outer", attrgetter("errs_outer"), "d"),
+    ("frame_errors", attrgetter("frame_errors"), "d"),
+    ("iters_inner_mean", attrgetter("iters_inner_mean"), ".3f"),
+    ("iters_outer_mean", attrgetter("iters_outer_mean"), ".3f"),
 )
 
+# Frames, inner bits and the outer BER are common to both branches; they
+# are read from the error-affected one.
 GENIE_COLUMNS = (
-    "esn0_db,ebn0_db,ber_inner_affected,ber_inner_genie,gap_inner_ber,"
-    "ci95_affected,ci95_genie,insignificant,frames,bits_inner,"
-    "errs_inner_affected,errs_inner_genie,ber_outer"
+    ("esn0_db", attrgetter("esn0_db"), ".4f"),
+    ("ebn0_db", attrgetter("ebn0_db"), ".4f"),
+    ("ber_inner_affected", attrgetter("affected.ber_inner"), ".6e"),
+    ("ber_inner_genie", attrgetter("genie.ber_inner"), ".6e"),
+    ("gap_inner_ber", attrgetter("gap_inner_ber"), ".6e"),
+    ("ci95_affected", attrgetter("ci95_affected"), ".6e"),
+    ("ci95_genie", attrgetter("ci95_genie"), ".6e"),
+    ("insignificant", attrgetter("insignificant"), "d"),
+    ("frames", attrgetter("affected.frames"), "d"),
+    ("bits_inner", attrgetter("affected.bits_inner"), "d"),
+    ("errs_inner_affected", attrgetter("affected.errs_inner"), "d"),
+    ("errs_inner_genie", attrgetter("genie.errs_inner"), "d"),
+    ("ber_outer", attrgetter("affected.ber_outer"), ".6e"),
 )
 
 
-def _fmt_sweep_row(p):
-    return (
-        f"{p.esn0_db:.4f},{p.ebn0_db:.4f},{p.ber_inner:.6e},{p.ber_outer:.6e},"
-        f"{p.ber_combined:.6e},{p.fer:.6e},{p.frames},{p.bits},"
-        f"{p.bits_inner},{p.bits_outer},{p.errs_inner},{p.errs_outer},"
-        f"{p.frame_errors},{p.iters_inner_mean:.3f},{p.iters_outer_mean:.3f}"
-    )
+def _write_csv(columns, points, path):
+    lines = [",".join(name for name, _get, _fmt in columns)]
+    lines += [",".join(format(get(p), fmt) for _name, get, fmt in columns) for p in points]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(result, path):
-    lines = [SWEEP_COLUMNS]
-    lines += [_fmt_sweep_row(p) for p in result.points]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(SWEEP_COLUMNS, result.points, path)
 
 
 def write_genie_csv(result, path):
-    lines = [GENIE_COLUMNS]
-    for gp in result.points:
-        a, g = gp.affected, gp.genie
-        lines.append(
-            f"{gp.esn0_db:.4f},{gp.ebn0_db:.4f},{a.ber_inner:.6e},{g.ber_inner:.6e},"
-            f"{gp.gap_inner_ber:.6e},{gp.ci95_affected:.6e},{gp.ci95_genie:.6e},"
-            f"{int(gp.insignificant)},{a.frames},{a.bits_inner},"
-            f"{a.errs_inner},{g.errs_inner},{a.ber_outer:.6e}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(GENIE_COLUMNS, result.points, path)
 
 
 def version_string():
@@ -635,22 +657,23 @@ def config_to_dict(cfg):
 
 def _stop_record(cfg, p):
     """Frames, frame errors and the stopping rule that ended one point;
-    read from its counters, so the same for any worker count."""
-    stop = "min_frame_errors" if p.frame_errors >= cfg.min_frame_errors else "max_frames"
-    return {"esn0_db": p.esn0_db, "frames": p.frames, "frame_errors": p.frame_errors, "stop": stop}
+    read from its counters, so the same for any worker count. A paired
+    point is read from its error-affected branch, which the rule follows."""
+    p = getattr(p, "affected", p)
+    return {"esn0_db": p.esn0_db, "frames": p.frames, "frame_errors": p.frame_errors, "stop": _stopped(cfg, p)}
 
 
-def build_manifest(cfg, command, outputs, eta=None, points=()):
-    """Run manifest; ``points`` are the SweepPoints whose counters drove
-    the stopping rule, listed with the reason each point stopped."""
+def build_manifest(cfg, result, command, outputs):
+    """Run manifest of a SweepResult: its eta and every point with the
+    reason it stopped."""
     return {
         "command": command,
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
-        "eta": cfg.eta if eta is None else eta,
+        "eta": result.eta,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
-        "points": [_stop_record(cfg, p) for p in points],
+        "points": [_stop_record(cfg, p) for p in result.points],
         "code_fingerprints": {
             "inner": cfg.inner.fingerprint(),
             "outer_base": cfg.outer.base.fingerprint(),

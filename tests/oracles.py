@@ -8,6 +8,7 @@ asserted against them at run time.
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -301,3 +302,74 @@ TREE_H = np.array(
     ],
     dtype=np.uint8,
 )
+
+
+# The sweep and genie CSV writers before the column table: a header string
+# and an f-string row per file, over points whose rates the former
+# SweepPoint and GeniePoint constructors computed from the counters.
+
+SWEEP_HEADER_FORMER = (
+    "esn0_db,ebn0_db,ber_inner,ber_outer,ber_combined,fer,frames,bits,"
+    "bits_inner,bits_outer,errs_inner,errs_outer,frame_errors,"
+    "iters_inner_mean,iters_outer_mean"
+)
+
+GENIE_HEADER_FORMER = (
+    "esn0_db,ebn0_db,ber_inner_affected,ber_inner_genie,gap_inner_ber,"
+    "ci95_affected,ci95_genie,insignificant,frames,bits_inner,"
+    "errs_inner_affected,errs_inner_genie,ber_outer"
+)
+
+
+def _ratio(a, b):
+    return a / b if b else 0.0
+
+
+def sweep_point_former(esn0_db, ebn0_db, c):
+    """The former SweepPoint fields from a dict of one point's counters."""
+    return SimpleNamespace(
+        esn0_db=esn0_db,
+        ebn0_db=ebn0_db,
+        ber_inner=_ratio(c["errs_inner"], c["bits_inner"]),
+        ber_outer=_ratio(c["errs_outer"], c["bits_outer"]),
+        ber_combined=_ratio(c["errs_inner"] + c["errs_outer"], c["bits_inner"] + c["bits_outer"]),
+        fer=_ratio(c["frame_errors"], c["frames"]),
+        frames=c["frames"],
+        bits=c["bits_inner"] + c["bits_outer"],
+        bits_inner=c["bits_inner"],
+        bits_outer=c["bits_outer"],
+        errs_inner=c["errs_inner"],
+        errs_outer=c["errs_outer"],
+        frame_errors=c["frame_errors"],
+        iters_inner_mean=_ratio(c["iters_inner_sum"], c["frames"]),
+        iters_outer_mean=_ratio(c["iters_outer_sum"], c["frames"]),
+    )
+
+
+def _ci95_halfwidth(errs, bits):
+    if bits == 0:
+        return 0.0
+    p = errs / bits
+    return 1.96 * math.sqrt(p * (1.0 - p) / bits)
+
+
+def sweep_row_former(p):
+    return (
+        f"{p.esn0_db:.4f},{p.ebn0_db:.4f},{p.ber_inner:.6e},{p.ber_outer:.6e},"
+        f"{p.ber_combined:.6e},{p.fer:.6e},{p.frames},{p.bits},"
+        f"{p.bits_inner},{p.bits_outer},{p.errs_inner},{p.errs_outer},"
+        f"{p.frame_errors},{p.iters_inner_mean:.3f},{p.iters_outer_mean:.3f}"
+    )
+
+
+def genie_row_former(a, g):
+    """The former genie CSV row of the branches a (affected) and g (genie)."""
+    gap = abs(a.ber_inner - g.ber_inner)
+    ci_a = _ci95_halfwidth(a.errs_inner, a.bits_inner)
+    ci_g = _ci95_halfwidth(g.errs_inner, g.bits_inner)
+    return (
+        f"{a.esn0_db:.4f},{a.ebn0_db:.4f},{a.ber_inner:.6e},{g.ber_inner:.6e},"
+        f"{gap:.6e},{ci_a:.6e},{ci_g:.6e},"
+        f"{int(gap <= ci_a + ci_g)},{a.frames},{a.bits_inner},"
+        f"{a.errs_inner},{g.errs_inner},{a.ber_outer:.6e}"
+    )

@@ -36,6 +36,26 @@ def test_params_validation():
         ChannelParams(es=1.0, sigma2_total=-0.1)
 
 
+@pytest.mark.parametrize(
+    "es, sigma2_total",
+    [
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (-math.inf, 1.0),
+        (1.0, math.nan),
+        (1.0, -math.inf),
+    ],
+)
+def test_params_reject_nan_and_inf(es, sigma2_total):
+    with pytest.raises(ValueError):
+        ChannelParams(es=es, sigma2_total=sigma2_total)
+
+
+def test_params_accept_infinite_noise():
+    # the -inf dB limit of from_esn0_db; only NaN is refused
+    assert ChannelParams.from_esn0_db(1.0, -math.inf).sigma2_total == math.inf
+
+
 def test_seeded_rng_validation():
     with pytest.raises(ValueError):
         SeededRng(seed=-1)

@@ -442,6 +442,13 @@ def test_rep_factor_validation():
         RepetitionCode(rate_third_base(), rep_factor=0)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_rep_factor_refuses_bool(flag):
+    # as load_config refuses a JSON true
+    with pytest.raises(ValueError, match="rep_factor"):
+        RepetitionCode(rate_third_base(), rep_factor=flag)
+
+
 def test_rep_combine_matches_joint_density_llr():
     # For one bit repeated r times over AWGN/BPSK, the LLR given all
     # copies is the sum of per-copy LLRs; check against joint densities.

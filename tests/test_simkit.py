@@ -21,6 +21,9 @@ from dmmsim.modem import (
 )
 from dmmsim.simkit import (
     ConfigError,
+    GeniePoint,
+    SweepPoint,
+    SweepResult,
     SystemConfig,
     build_manifest,
     config_to_dict,
@@ -34,6 +37,13 @@ from dmmsim.simkit import (
     write_genie_csv,
     write_manifest,
     write_sweep_csv,
+)
+from oracles import (
+    GENIE_HEADER_FORMER,
+    SWEEP_HEADER_FORMER,
+    genie_row_former,
+    sweep_point_former,
+    sweep_row_former,
 )
 
 
@@ -86,6 +96,20 @@ def test_noiseless_roundtrip():
         assert np.array_equal(t.c2_hat, t.c2)
         assert np.array_equal(t.v2_hat, t.v2)
         assert t.converged_inner and t.converged_outer
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [run_frame, run_baseline_frame])
+@pytest.mark.parametrize("esn0_db", ["1", math.nan, -math.inf, True])
+def test_explicit_esn0_checked_like_grid_entries(run, esn0_db):
+    # refused before any frame work, so -inf raises no numpy warning
+    with pytest.raises(ConfigError, match="esn0_db .* must be a number, not NaN or -inf"):
+        run(small_config(), 0, esn0_db=esn0_db)
+
+
+def test_explicit_integer_esn0_runs_as_float():
+    t = run_frame(small_config(), 0, esn0_db=1)
+    assert type(t.esn0_db) is float and t.esn0_db == 1.0
 
 
 def test_frame_trace_lengths_consistent():
@@ -352,9 +376,52 @@ def test_write_genie_csv(tmp_path):
     assert len(lines) == 2
 
 
+COUNTER_FIELDS = tuple(simkit._Counters.__dataclass_fields__)
+
+
+@st.composite
+def point_counters(draw):
+    """Counters of one point: zero, small, or beyond 2**40; errors never
+    exceed their bits."""
+    count = st.one_of(st.just(0), st.integers(1, 5000), st.integers(2**40, 2**53))
+    c = {f: draw(count) for f in COUNTER_FIELDS if not f.startswith("errs_")}
+    for stream in ("inner", "outer"):
+        c[f"errs_{stream}"] = draw(st.integers(0, c[f"bits_{stream}"]))
+    return c
+
+
+ZERO_COUNTERS = dict.fromkeys(COUNTER_FIELDS, 0)
+BIG_COUNTERS = {**dict.fromkeys(COUNTER_FIELDS, 2**41 + 3), "bits_outer": 0, "errs_outer": 0}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    esn0_db=st.floats(allow_nan=False),
+    ebn0_db=st.floats(allow_nan=False),
+    branches=st.lists(st.tuples(point_counters(), point_counters()), max_size=4),
+)
+@example(esn0_db=0.0, ebn0_db=2.3, branches=[(ZERO_COUNTERS, ZERO_COUNTERS)])
+@example(esn0_db=-1.5, ebn0_db=0.8, branches=[(BIG_COUNTERS, ZERO_COUNTERS), (ZERO_COUNTERS, BIG_COUNTERS)])
+def test_csv_rows_equal_former_formatters(tmp_path, esn0_db, ebn0_db, branches):
+    # the column table writes, byte for byte, what the former per-file
+    # header strings and f-string rows wrote
+    points = [(SweepPoint(esn0_db, ebn0_db, **a), SweepPoint(esn0_db, ebn0_db, **g)) for a, g in branches]
+    former = [
+        (sweep_point_former(esn0_db, ebn0_db, a), sweep_point_former(esn0_db, ebn0_db, g))
+        for a, g in branches
+    ]
+    out = tmp_path / "rows.csv"
+    write_sweep_csv(SweepResult("dmm", 0.5, [a for a, _g in points]), out)
+    want = [SWEEP_HEADER_FORMER] + [sweep_row_former(a) for a, _g in former]
+    assert out.read_text() == "\n".join(want) + "\n"
+    write_genie_csv(SweepResult("pair", 0.5, [GeniePoint(a, g) for a, g in points]), out)
+    want = [GENIE_HEADER_FORMER] + [genie_row_former(a, g) for a, g in former]
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
 def test_manifest_contents(tmp_path):
     cfg = small_config()
-    man = build_manifest(cfg, "unit-test", [tmp_path / "x.csv"])
+    man = build_manifest(cfg, SweepResult(mode="dmm", eta=cfg.eta, points=[]), "unit-test", [tmp_path / "x.csv"])
     assert man["code_fingerprints"]["inner"] == cfg.inner.fingerprint()
     assert man["code_fingerprints"]["outer_base"] == cfg.outer.base.fingerprint()
     assert man["eta"] == pytest.approx(7 / 12)
@@ -363,7 +430,7 @@ def test_manifest_contents(tmp_path):
     assert man["points"] == []
     # a point that reaches both limits at once stopped on its frame errors
     both = small_config(esn0_grid_db=(-10.0, 12.0), batch_frames=4, max_frames=4, min_frame_errors=4)
-    man_both = build_manifest(both, "unit-test", [], points=run_sweep(both).points)
+    man_both = build_manifest(both, run_sweep(both), "unit-test", [])
     assert man_both["points"] == [
         {"esn0_db": -10.0, "frames": 4, "frame_errors": 4, "stop": "min_frame_errors"},
         {"esn0_db": 12.0, "frames": 4, "frame_errors": 0, "stop": "max_frames"},

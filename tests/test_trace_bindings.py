@@ -3,7 +3,9 @@ where the calling module binds them. Each one must still be there, so a
 refactor that renames or moves one fails here, not only in a traced run.
 The file is read, never changed. The tracer counts the frames a pool
 computes in ``ProcessPoolExecutor.map`` alone, so the pool contract is
-pinned here too."""
+pinned here too, as are the point attributes the benchmark's workloads
+(perfbench/workloads.py, also read only) take their counters from, and
+the package's public names."""
 
 import importlib.util
 import inspect
@@ -16,21 +18,22 @@ from pathlib import Path
 
 import pytest
 
+import dmmsim
 from dmmsim import capacity, simkit
 from test_simkit import small_config
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load_perfbench("spans")
+workloads = _load_perfbench("workloads")
 
 # every (owner, attribute) the tracer patches, the pool class included
 PATCHED = [(owner, attr) for owner, attr, _name in spans.BINDINGS + spans.CLASS_BINDINGS]
@@ -63,6 +66,48 @@ def test_capacity_calls_mi_functions_at_call_time(monkeypatch):
     capacity.esn0_at_mi(0.5, "bpsk")
     capacity.esn0_at_mi(0.5, "qpsk")
     assert calls["mi_bpsk"] > 2 and calls["mi_qpsk"] > 3
+
+
+def _stored_counters(p):
+    return {"esn0_db": p.esn0_db, **{f: getattr(p, f) for f in simkit._Counters.__dataclass_fields__}}
+
+
+def test_workloads_read_the_stored_counters():
+    # the waterfall-genie and highsnr-sweep workloads compare these
+    # dicts with their reference; each must equal the point's counters
+    cfg = small_config(esn0_grid_db=(-2.0, 12.0), max_frames=16, min_frame_errors=1000)
+    points = simkit.run_sweep(cfg).points + simkit.run_bpsk_baseline(cfg).points
+    for gp in simkit.run_genie_compare(cfg).points:
+        points += [gp.affected, gp.genie]
+    assert len(points) == 8 and any(p.errs_inner for p in points) and any(p.bits_outer == 0 for p in points)
+    for p in points:
+        assert workloads._counters(p) == _stored_counters(p)
+
+
+PUBLIC_API = {
+    "__version__",
+    "ConfigError",
+    "CodeConstructionError",
+    "SystemConfig",
+    "LdpcCode",
+    "RepetitionCode",
+    "load_config",
+    "run_frame",
+    "run_baseline_frame",
+    "run_sweep",
+    "run_bpsk_baseline",
+    "run_genie_compare",
+    "mi_bpsk",
+    "mi_qpsk",
+    "mi_grid",
+    "esn0_at_mi",
+}
+
+
+def test_public_api_is_what_cli_and_experiments_use():
+    assert len(dmmsim.__all__) == len(PUBLIC_API) and set(dmmsim.__all__) == PUBLIC_API
+    for name in dmmsim.__all__:
+        assert getattr(dmmsim, name) is not None
 
 
 @pytest.fixture
