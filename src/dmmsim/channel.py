@@ -56,7 +56,9 @@ class SeededRng:
                 raise ValueError(f"{name} must be an integer in [0, 2**64)")
 
     def generator(self):
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
+        # as a list, a seed of 2**63 or more makes numpy round the key through float64
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def add_noise(symbols, params, rng):

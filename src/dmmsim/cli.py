@@ -12,7 +12,6 @@ dB values are accepted and emitted with 4 decimal places.
 
 import argparse
 import dataclasses
-import math
 import shlex
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from .channel import ebn0_from_esn0
 from .simkit import (
     MAX_GRID_POINTS,
     ConfigError,
+    _check_esn0,
     build_manifest,
     check_workers,
     load_config,
@@ -70,9 +70,7 @@ def parse_grid(text):
         vals = [v for v in vals if v <= stop + 1e-9]
     if not vals:
         raise ConfigError(f"grid {text!r} resolves to no points")
-    if any(math.isnan(v) or v == -math.inf for v in vals):
-        raise ConfigError(f"grid {text!r} holds NaN or -inf")
-    return tuple(round(v, 4) for v in vals)
+    return tuple(round(_check_esn0(v, "grid entry"), 4) for v in vals)
 
 
 def _out_dir(args):

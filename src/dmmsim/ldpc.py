@@ -176,8 +176,9 @@ class LdpcCode:
         self._edge_slot = pos * self.n_checks + self._er  # flat slot of each edge
         pad = self._slot_col == self.n_code
         self._pad = pad if pad.any() else None
-        # construction record for run manifests; classmethod constructors refine it
-        self.origin = {"kind": "explicit"}
+        # the config entry that rebuilds this code, for run manifests; set by
+        # the constructors a config file can name, None for an explicit matrix
+        self.origin = None
 
     @property
     def g_dense(self):
@@ -285,7 +286,7 @@ class LdpcCode:
             if sorted(alt) != sorted(edges):
                 raise CodeConstructionError("alist row lists disagree with column lists")
         code = cls(edges, n, m)
-        code.origin = {"kind": "alist", "path": str(path)}
+        code.origin = {"alist": str(Path(path).resolve())}
         return code
 
     @classmethod
@@ -319,7 +320,7 @@ class LdpcCode:
             raise CodeConstructionError(f"n_checks={m} must lie in (0, n_code)")
         if row_degree > n_code:
             raise CodeConstructionError("row_degree exceeds n_code")
-        rng = np.random.Generator(np.random.Philox(key=[seed, _CODEGEN_STREAM]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, _CODEGEN_STREAM], dtype=np.uint64)))
         cols = np.repeat(np.arange(n_code, dtype=np.int64), col_degree)
         rows = rng.permutation(np.repeat(np.arange(m, dtype=np.int64), row_degree))
         n_edges = rows.size
@@ -343,13 +344,7 @@ class LdpcCode:
                 except CodeConstructionError:
                     pass
                 else:
-                    code.origin = {
-                        "kind": "random_regular",
-                        "n": n_code,
-                        "row_degree": row_degree,
-                        "col_degree": col_degree,
-                        "seed": seed,
-                    }
+                    code.origin = dict(n=n_code, row_degree=row_degree, col_degree=col_degree, seed=seed)
                     return code
             r = int(rng.integers(m))
             slots = np.nonzero(rows == r)[0]

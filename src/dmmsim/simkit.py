@@ -24,7 +24,7 @@ import math
 import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -286,38 +286,6 @@ def run_baseline_frame(cfg, frame_index, esn0_db=None):
 # ------------------------------------------------------------------ sweeps
 
 
-@dataclass
-class _Counters:
-    frames: int = 0
-    errs_inner: int = 0
-    errs_outer: int = 0
-    bits_inner: int = 0
-    bits_outer: int = 0
-    frame_errors: int = 0
-    iters_inner_sum: int = 0
-    iters_outer_sum: int = 0
-
-    def add_frame(self, c1, c1_hat, iters_inner, c2=None, c2_hat=None, iters_outer=None):
-        """Count one frame; the outer arguments are None when it has no outer stream."""
-        errs = int(np.count_nonzero(c1 != c1_hat))
-        self.frames += 1
-        self.errs_inner += errs
-        self.bits_inner += c1.size
-        self.iters_inner_sum += iters_inner
-        if c2 is not None:
-            errs_outer = int(np.count_nonzero(c2 != c2_hat))
-            self.errs_outer += errs_outer
-            self.bits_outer += c2.size
-            self.iters_outer_sum += iters_outer
-            errs += errs_outer
-        self.frame_errors += 1 if errs else 0
-
-    def __iadd__(self, other):
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        return self
-
-
 def _ratio(num, den):
     """A property: attribute ``num`` over attribute ``den``, 0.0 when ``den`` is 0."""
 
@@ -328,21 +296,43 @@ def _ratio(num, den):
     return property(get)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SweepPoint:
-    """One grid point: its Es/N0, its Eb/N0 and the counters of the frames
-    it ran, stored once; every rate and mean is computed from them."""
+    """The error tally of one grid point: its Es/N0, its Eb/N0 and the
+    integer counters of the frames it ran, stored once; every rate and
+    mean is computed from them."""
 
     esn0_db: float
     ebn0_db: float
-    frames: int
-    errs_inner: int
-    errs_outer: int
-    bits_inner: int
-    bits_outer: int
-    frame_errors: int
-    iters_inner_sum: int
-    iters_outer_sum: int
+    frames: int = 0
+    errs_inner: int = 0
+    errs_outer: int = 0
+    bits_inner: int = 0
+    bits_outer: int = 0
+    frame_errors: int = 0
+    iters_inner_sum: int = 0
+    iters_outer_sum: int = 0
+
+    def add_frame(self, trace):
+        """Count one FrameTrace; a baseline frame (``c2`` None) has no outer stream."""
+        errs = int(np.count_nonzero(trace.c1 != trace.c1_hat))
+        self.frames += 1
+        self.errs_inner += errs
+        self.bits_inner += trace.c1.size
+        self.iters_inner_sum += trace.iters_inner
+        if trace.c2 is not None:
+            errs_outer = int(np.count_nonzero(trace.c2 != trace.c2_hat))
+            self.errs_outer += errs_outer
+            self.bits_outer += trace.c2.size
+            self.iters_outer_sum += trace.iters_outer
+            errs += errs_outer
+        self.frame_errors += 1 if errs else 0
+
+    def __iadd__(self, other):
+        """Add the counters of ``other``, a tally of further frames of this point."""
+        for f in fields(self)[2:]:  # the counters, after esn0_db and ebn0_db
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
 
     @property
     def errs(self):
@@ -410,15 +400,27 @@ class SweepResult:
     points: list
 
 
+def _eta(cfg, kind):
+    """Information bits per symbol of a run: R1 on the BPSK baseline, else R1 + R2."""
+    return cfg.r1 if kind == "baseline" else cfg.eta
+
+
+def _tallies(cfg, esn0_db, kind):
+    """Empty tallies (primary, genie) of one point."""
+    ebn0_db = ebn0_from_esn0(esn0_db, _eta(cfg, kind))
+    return SweepPoint(esn0_db, ebn0_db), SweepPoint(esn0_db, ebn0_db)
+
+
 def _run_batch(cfg, esn0_db, kind, lo, hi):
-    """Counters (primary, genie) of frames lo..hi-1; genie is empty unless kind is "pair"."""
-    primary, genie = _Counters(), _Counters()
+    """Tallies (primary, genie) of frames lo..hi-1; genie stays empty unless kind is "pair"."""
+    primary, genie = _tallies(cfg, esn0_db, kind)
     for fi in range(lo, hi):
         if kind == "pair":
             _pair_frame(cfg, fi, esn0_db, primary, genie)
+        elif kind == "dmm":
+            primary.add_frame(run_frame(cfg, fi, esn0_db))
         else:
-            t = run_frame(cfg, fi, esn0_db) if kind == "dmm" else run_baseline_frame(cfg, fi, esn0_db)
-            primary.add_frame(t.c1, t.c1_hat, t.iters_inner, t.c2, t.c2_hat, t.iters_outer)
+            primary.add_frame(run_baseline_frame(cfg, fi, esn0_db))
     return primary, genie
 
 
@@ -427,13 +429,13 @@ def _pair_frame(cfg, frame_index, esn0_db, affected, genie):
     # true rotation bits; when the rebuilt bits are exact the branches
     # coincide and the inner decode runs once.
     t = run_frame(cfg, frame_index, esn0_db)
-    c1_hat, iters = t.c1_hat, t.iters_inner
+    affected.add_frame(t)
     if not np.array_equal(t.v2_hat, t.v2):
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
         params = ChannelParams.from_esn0_db(cfg.es, t.esn0_db)
-        _llr, c1_hat, iters, _conv = _inner_receive(cfg, y1, params)
-    affected.add_frame(t.c1, t.c1_hat, t.iters_inner, t.c2, t.c2_hat, t.iters_outer)
-    genie.add_frame(t.c1, c1_hat, iters, t.c2, t.c2_hat, t.iters_outer)
+        llr_inner, c1_hat, iters, conv = _inner_receive(cfg, y1, params)
+        t = replace(t, llr_inner=llr_inner, c1_hat=c1_hat, iters_inner=iters, converged_inner=conv)
+    genie.add_frame(t)
 
 
 _WORKER_CFG = None
@@ -448,12 +450,12 @@ def _pool_batch(args):
     return _run_batch(_WORKER_CFG, *args)
 
 
-def _stopped(cfg, counters):
-    """The stopping rule that counters have met, or None while the point
+def _stopped(cfg, point):
+    """The stopping rule that a point's tally has met, or None while it
     runs; frame errors win when both limits are reached at once."""
-    if counters.frame_errors >= cfg.min_frame_errors:
+    if point.frame_errors >= cfg.min_frame_errors:
         return "min_frame_errors"
-    if counters.frames >= cfg.max_frames:
+    if point.frames >= cfg.max_frames:
         return "max_frames"
     return None
 
@@ -469,7 +471,7 @@ def _batch_args(cfg, esn0_db, kind, j):
 def _run_point(cfg, esn0_db, kind):
     """Accumulate one point's batches in index order until the stopping
     rule fires; the rule is checked at batch boundaries only."""
-    primary, genie = _Counters(), _Counters()
+    primary, genie = _tallies(cfg, esn0_db, kind)
     j = 0
     while not _stopped(cfg, primary):
         batch_primary, batch_genie = _run_batch(cfg, *_batch_args(cfg, esn0_db, kind, j))
@@ -491,12 +493,12 @@ def _run_rounds(cfg, kind, workers, pool):
     stopped is discarded, which only the top-up can produce.
     """
     grid = cfg.esn0_grid_db
-    counters = [(_Counters(), _Counters()) for _ in grid]
+    tallies = [_tallies(cfg, esn0, kind) for esn0 in grid]
     merged = [0] * len(grid)  # batches merged so far, per point
     while True:
-        open_points = [i for i, (primary, _) in enumerate(counters) if not _stopped(cfg, primary)]
+        open_points = [i for i, (primary, _) in enumerate(tallies) if not _stopped(cfg, primary)]
         if not open_points:
-            return counters
+            return tallies
         window = [(i, _batch_args(cfg, grid[i], kind, merged[i])) for i in open_points]
         depth = 1
         while len(window) < workers:
@@ -509,16 +511,12 @@ def _run_rounds(cfg, kind, workers, pool):
             depth += 1
         results = pool.map(_pool_batch, [args for _i, args in window])
         for (i, _args), (batch_primary, batch_genie) in zip(window, results):
-            primary, genie = counters[i]
+            primary, genie = tallies[i]
             if _stopped(cfg, primary):
                 continue
             primary += batch_primary
             genie += batch_genie
             merged[i] += 1
-
-
-def _make_point(esn0_db, eta, c):
-    return SweepPoint(esn0_db, ebn0_from_esn0(esn0_db, eta), **vars(c))
 
 
 def check_workers(workers):
@@ -528,20 +526,17 @@ def check_workers(workers):
         raise ConfigError(f"workers must be an integer in [1, {cores}], got {workers!r}")
 
 
-def _sweep(cfg, kind, eta, workers):
+def _sweep(cfg, kind, workers):
     """A SweepResult over the grid: point after point on one worker, in
     rounds across the grid on a pool of several."""
     check_workers(workers)
     if workers == 1:
-        counts = [_run_point(cfg, esn0, kind) for esn0 in cfg.esn0_grid_db]
+        tallies = [_run_point(cfg, esn0, kind) for esn0 in cfg.esn0_grid_db]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,)) as pool:
-            counts = _run_rounds(cfg, kind, workers, pool)
-    points = []
-    for esn0, (primary, genie) in zip(cfg.esn0_grid_db, counts):
-        point = _make_point(esn0, eta, primary)
-        points.append(GeniePoint(point, _make_point(esn0, eta, genie)) if kind == "pair" else point)
-    return SweepResult(mode=kind, eta=eta, points=points)
+            tallies = _run_rounds(cfg, kind, workers, pool)
+    points = [GeniePoint(*pair) if kind == "pair" else pair[0] for pair in tallies]
+    return SweepResult(mode=kind, eta=_eta(cfg, kind), points=points)
 
 
 def run_sweep(cfg, workers=1):
@@ -551,12 +546,12 @@ def run_sweep(cfg, workers=1):
     cfg.min_frame_errors frame errors on the combined stream or
     cfg.max_frames; zero-error points report their observed bit budget.
     """
-    return _sweep(cfg, "dmm", cfg.eta, workers)
+    return _sweep(cfg, "dmm", workers)
 
 
 def run_bpsk_baseline(cfg, workers=1):
     """Plain BPSK with the inner code on the same seeds; eta = R1."""
-    return _sweep(cfg, "baseline", cfg.r1, workers)
+    return _sweep(cfg, "baseline", workers)
 
 
 def run_genie_compare(cfg, workers=1):
@@ -564,7 +559,7 @@ def run_genie_compare(cfg, workers=1):
     vs the true ones. Both branches see the identical frame set; the
     stopping rule follows the error-affected branch. Outer-stream
     numbers are common to both branches by construction."""
-    return _sweep(cfg, "pair", cfg.eta, workers)
+    return _sweep(cfg, "pair", workers)
 
 
 # ------------------------------------------------------------ persistence
@@ -642,16 +637,17 @@ def version_string():
 
 
 def config_to_dict(cfg):
+    """The config document of cfg, in the layout load_config reads; a code
+    built from an explicit matrix has no config entry and is written null."""
     return {
-        "inner_code": dict(cfg.inner.origin),
-        "outer_code": {"base": dict(cfg.outer.base.origin), "rep_factor": cfg.outer.rep_factor},
+        "inner_code": cfg.inner.origin,
+        "outer_code": {"base": cfg.outer.base.origin, "rep_factor": cfg.outer.rep_factor},
         "es": cfg.es,
         "esn0_grid_db": list(cfg.esn0_grid_db),
         "max_iter": cfg.max_iter,
         "stop": {"min_frame_errors": cfg.min_frame_errors, "max_frames": cfg.max_frames},
         "seed": cfg.seed,
         "batch_frames": cfg.batch_frames,
-        "rates": {"r1": cfg.r1, "r2": cfg.r2, "eta": cfg.eta},
     }
 
 
@@ -671,6 +667,7 @@ def build_manifest(cfg, result, command, outputs):
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
         "eta": result.eta,
+        "rates": {"r1": cfg.r1, "r2": cfg.r2, "eta": cfg.eta},
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
         "points": [_stop_record(cfg, p) for p in result.points],

@@ -63,6 +63,14 @@ def test_seeded_rng_validation():
         SeededRng(seed=0, stream_id=2**64)
 
 
+def test_seeds_keep_all_64_bits():
+    # a key passed through float64 would merge seeds from 2**63 up, and
+    # map those within 1024 of 2**64 onto seed 0
+    seeds = (0, 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    draws = {SeededRng(seed=s, stream_id=5).generator().integers(0, 2**63) for s in seeds}
+    assert len(draws) == len(seeds)
+
+
 def test_noiseless_identity_and_copy():
     s = np.ones((16, 2))
     p = ChannelParams(es=1.0, sigma2_total=0.0)

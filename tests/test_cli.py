@@ -172,7 +172,7 @@ def test_ber_sweep_writes_csv_and_manifest(cfg_path, tmp_path, capsys):
     assert man["eta"] == pytest.approx(7 / 12)
     assert man["seed"] == 11
     assert man["command"].startswith("dmmsim ber-sweep")
-    assert man["config"]["inner_code"]["kind"] == "random_regular"
+    assert man["config"]["inner_code"] == CONFIG["inner_code"]
     assert man["code_fingerprints"]["inner"]
     # re-run reproduces byte-identical CSV
     rc = main(["ber-sweep", str(cfg_path), "--out-dir", str(out)])

@@ -597,6 +597,9 @@ def test_random_regular_validation():
     for seed in (-1, 2**64):  # outside the Philox key range
         with pytest.raises(CodeConstructionError, match="seed"):
             LdpcCode.random_regular(96, 6, 3, seed=seed)
+    # every seed in range is its own key, beyond float64 precision too
+    seeds = (2**53, 2**53 + 1, 2**64 - 2, 2**64 - 1)
+    assert len({LdpcCode.random_regular(96, 6, 3, seed=s).fingerprint() for s in seeds}) == len(seeds)
     # sizes are checked before anything is allocated
     with pytest.raises(CodeConstructionError, match="MAX_CODE_LENGTH"):
         LdpcCode.random_regular(MAX_CODE_LENGTH + 6, 6, 3, seed=0)

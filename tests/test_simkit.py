@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dmmsim import simkit
+from dmmsim import cli, simkit
 from dmmsim.channel import ChannelParams, ebn0_from_esn0
 from dmmsim.ldpc import LdpcCode, RepetitionCode, encode, rep_combine
 from dmmsim.modem import (
@@ -245,6 +246,54 @@ def test_grid_results_invariant_to_workers(cfg):
         assert run(cfg, workers=1) == run(cfg, workers=2)
 
 
+def tally_of(esn0_db, eta, traces):
+    """A fresh SweepPoint that has counted the traces one by one."""
+    point = SweepPoint(esn0_db, ebn0_from_esn0(esn0_db, eta))
+    for t in traces:
+        point.add_frame(t)
+    return point
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    grid=st.lists(st.sampled_from(INVARIANCE_GRID_DB), min_size=1, max_size=3),
+    max_frames=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+# errors on both streams at -10 and -1 dB, none at 12 dB
+@example(grid=[-10.0, -1.0, 12.0], max_frames=5, seed=11)
+def test_merged_tally_equals_frame_by_frame_count(grid, max_frames, seed):
+    # With the frame budget the only stop, every batch size merges to the
+    # tally of counting each frame's trace into one SweepPoint. The genie
+    # branch decodes what the baseline decodes (derotation by the true
+    # bits is bit-identical to BPSK), beside the receiver's outer stream.
+    base = small_config(
+        esn0_grid_db=tuple(grid), max_frames=max_frames, min_frame_errors=max_frames + 1, seed=seed
+    )
+    frames = range(max_frames)
+    dmm = {e: [run_frame(base, i, e) for i in frames] for e in set(grid)}
+    bpsk = {e: [run_baseline_frame(base, i, e) for i in frames] for e in set(grid)}
+    want = {
+        run_sweep: [tally_of(e, base.eta, dmm[e]) for e in grid],
+        run_bpsk_baseline: [tally_of(e, base.r1, bpsk[e]) for e in grid],
+        run_genie_compare: [
+            GeniePoint(
+                tally_of(e, base.eta, dmm[e]),
+                tally_of(
+                    e,
+                    base.eta,
+                    [replace(t, c1_hat=b.c1_hat, iters_inner=b.iters_inner) for t, b in zip(dmm[e], bpsk[e])],
+                ),
+            )
+            for e in grid
+        ],
+    }
+    for batch_frames in range(1, max_frames + 1):
+        cfg = replace(base, batch_frames=batch_frames)
+        for run, points in want.items():
+            assert run(cfg).points == points, (run.__name__, batch_frames)
+
+
 def test_sweep_stops_at_batch_boundary():
     # At very low SNR every frame errors, so counting stops at the first
     # batch boundary at or past min_frame_errors.
@@ -376,7 +425,8 @@ def test_write_genie_csv(tmp_path):
     assert len(lines) == 2
 
 
-COUNTER_FIELDS = tuple(simkit._Counters.__dataclass_fields__)
+# the tally's counters: its fields after esn0_db and ebn0_db
+COUNTER_FIELDS = tuple(f.name for f in fields(SweepPoint))[2:]
 
 
 @st.composite
@@ -425,7 +475,9 @@ def test_manifest_contents(tmp_path):
     assert man["code_fingerprints"]["inner"] == cfg.inner.fingerprint()
     assert man["code_fingerprints"]["outer_base"] == cfg.outer.base.fingerprint()
     assert man["eta"] == pytest.approx(7 / 12)
-    assert man["config"]["inner_code"]["kind"] == "random_regular"
+    assert man["rates"] == {"r1": cfg.r1, "r2": cfg.r2, "eta": cfg.eta}
+    assert man["config"]["inner_code"] == {"n": 96, "row_degree": 6, "col_degree": 3, "seed": 5}
+    assert "rates" not in man["config"]
     assert man["config"]["stop"] == {"min_frame_errors": 5, "max_frames": 64}
     assert man["points"] == []
     # a point that reaches both limits at once stopped on its frame errors
@@ -463,8 +515,33 @@ def write_cfg(tmp_path, data):
     return p
 
 
+def config_record(cfg):
+    """Every field of a SystemConfig, its codes by fingerprint."""
+    record = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("inner", "outer")}
+    record.update(
+        inner=(cfg.inner.fingerprint(), cfg.inner.origin),
+        outer=(cfg.outer.base.fingerprint(), cfg.outer.base.origin, cfg.outer.rep_factor),
+    )
+    return record
+
+
+def assert_manifest_config_reloads(cfg_path, tmp_path):
+    """The config block of a ber-sweep manifest, saved in another
+    directory, loads back to the same config, and a ber-sweep rerun from
+    it writes the same CSV byte for byte."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["ber-sweep", str(cfg_path), "--out-dir", str(first)]) == 0
+    block = json.loads((first / "dmm_sweep_manifest.json").read_text())["config"]
+    rerun_path = first / "rerun.json"
+    rerun_path.write_text(json.dumps(block))
+    assert config_record(load_config(rerun_path)) == config_record(load_config(cfg_path))
+    assert cli.main(["ber-sweep", str(rerun_path), "--out-dir", str(again)]) == 0
+    assert (again / "dmm_sweep.csv").read_bytes() == (first / "dmm_sweep.csv").read_bytes()
+
+
 def test_load_config_roundtrip(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, GOOD_CONFIG))
+    path = write_cfg(tmp_path, GOOD_CONFIG)
+    cfg = load_config(path)
     assert cfg.inner.n_code == 96
     assert cfg.outer.rep_factor == 4
     assert cfg.esn0_grid_db == (-2.0, 0.0)
@@ -473,9 +550,8 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.max_frames == 64
     assert cfg.seed == 11
     assert cfg.batch_frames == 8
-    d = config_to_dict(cfg)
-    assert d["inner_code"] == GOOD_CONFIG["inner_code"] | {"kind": "random_regular"}
-    assert d["stop"] == GOOD_CONFIG["stop"]
+    assert config_to_dict(cfg) == GOOD_CONFIG
+    assert_manifest_config_reloads(path, tmp_path)
 
 
 def test_load_config_defaults(tmp_path):
@@ -612,8 +688,12 @@ def test_load_config_alist_relative_path(tmp_path):
         "inner_code": {"alist": "code.alist"},
         "outer_code": {"base": {"alist": "code.alist"}, "rep_factor": 1},
         "esn0_grid_db": [0.0],
+        "stop": {"min_frame_errors": 4, "max_frames": 32},
     }
-    cfg = load_config(write_cfg(tmp_path, data))
+    path = write_cfg(tmp_path, data)
+    cfg = load_config(path)
     assert cfg.inner.n_code == 7
     assert cfg.outer.n_code == 7
-    assert cfg.inner.origin["kind"] == "alist"
+    # the origin is the entry with its path resolved, so it reloads from anywhere
+    assert cfg.inner.origin == {"alist": str((tmp_path / "code.alist").resolve())}
+    assert_manifest_config_reloads(path, tmp_path)

@@ -7,6 +7,7 @@ pinned here too, as are the point attributes the benchmark's workloads
 (perfbench/workloads.py, also read only) take their counters from, and
 the package's public names."""
 
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -69,7 +70,9 @@ def test_capacity_calls_mi_functions_at_call_time(monkeypatch):
 
 
 def _stored_counters(p):
-    return {"esn0_db": p.esn0_db, **{f: getattr(p, f) for f in simkit._Counters.__dataclass_fields__}}
+    # the tally's counters: its fields after esn0_db and ebn0_db
+    counters = [f.name for f in dataclasses.fields(simkit.SweepPoint)][2:]
+    return {"esn0_db": p.esn0_db, **{name: getattr(p, name) for name in counters}}
 
 
 def test_workloads_read_the_stored_counters():
