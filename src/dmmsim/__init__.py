@@ -9,17 +9,9 @@ name is imported from its own module.
 __version__ = "0.1.0"
 
 from .capacity import esn0_at_mi, mi_bpsk, mi_grid, mi_qpsk
+from .config import ConfigError, SystemConfig, load_config
 from .ldpc import CodeConstructionError, LdpcCode, RepetitionCode
-from .simkit import (
-    ConfigError,
-    SystemConfig,
-    load_config,
-    run_baseline_frame,
-    run_bpsk_baseline,
-    run_frame,
-    run_genie_compare,
-    run_sweep,
-)
+from .simkit import run_baseline_frame, run_bpsk_baseline, run_frame, run_genie_compare, run_sweep
 
 __all__ = [
     "__version__",

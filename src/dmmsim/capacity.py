@@ -218,11 +218,3 @@ def eta_total(r1, r2):
             raise ValueError(f"{name} must lie in (0, 1)")
     return r1 + r2
 
-
-def write_mi_csv(points, path):
-    """CSV rows (esn0_db, mi_bits, ebn0_db); dB at 4 decimals."""
-    lines = ["esn0_db,mi_bits,ebn0_db"]
-    for p in points:
-        lines.append(f"{p.esn0_db:.4f},{p.mi_bits:.9f},{p.ebn0_db:.4f}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

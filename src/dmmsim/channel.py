@@ -39,7 +39,12 @@ class ChannelParams:
 
     @classmethod
     def from_esn0_db(cls, es, esn0_db):
-        return cls(es=es, sigma2_total=es * 10.0 ** (-esn0_db / 10.0))
+        """The channel at Es/N0 (dB); its noise power is +inf where it overflows, as at -inf dB."""
+        try:
+            sigma2_total = es * 10.0 ** (-esn0_db / 10.0)
+        except OverflowError:
+            sigma2_total = math.inf
+        return cls(es=es, sigma2_total=sigma2_total)
 
 
 @dataclass(frozen=True)

@@ -16,22 +16,11 @@ import shlex
 import sys
 from pathlib import Path
 
-from .capacity import esn0_at_mi, mi_grid, rate_bound_outer, write_mi_csv
+from .capacity import esn0_at_mi, mi_grid, rate_bound_outer
 from .channel import ebn0_from_esn0
-from .simkit import (
-    MAX_GRID_POINTS,
-    ConfigError,
-    _check_esn0,
-    build_manifest,
-    check_workers,
-    load_config,
-    run_bpsk_baseline,
-    run_genie_compare,
-    run_sweep,
-    write_genie_csv,
-    write_manifest,
-    write_sweep_csv,
-)
+from .config import MAX_GRID_POINTS, ConfigError, _check_esn0, check_workers, load_config
+from .results import build_manifest, write_genie_csv, write_manifest, write_mi_csv, write_sweep_csv
+from .simkit import run_bpsk_baseline, run_genie_compare, run_sweep
 
 PROG = "dmmsim"
 

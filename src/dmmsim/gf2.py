@@ -139,10 +139,3 @@ def row_reduce(packed, n_cols):
         r += k
     return P, pivot_cols
 
-
-def rank(mat):
-    """GF(2) rank of a binary matrix."""
-    M = np.asarray(mat, dtype=np.uint8) & 1
-    if M.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return len(row_reduce(np.packbits(M, axis=1), M.shape[1])[1])

@@ -192,11 +192,6 @@ class LdpcCode:
     def rate(self):
         return self.k_info / self.n_code
 
-    def h_dense(self):
-        H = np.zeros((self.n_checks, self.n_code), dtype=np.uint8)
-        H[self._er, self._ec] = 1
-        return H
-
     def syndrome(self, bits):
         """Parity of each check for a hard bit vector."""
         bits = np.asarray(bits)

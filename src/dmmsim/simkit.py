@@ -19,26 +19,17 @@ evaluated only at batch boundaries, in batch order, so output is
 identical for any worker count.
 """
 
-import json
 import math
-import os
-import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from datetime import datetime, timezone
-from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .capacity import eta_total
 from .channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
+# load_config is re-exported: the traced benchmark (perfbench/spans.py) binds simkit.load_config
+from .config import ConfigError, _check_esn0, check_workers, load_config
 from .ldpc import (
     LLR_CAP,
-    CodeConstructionError,
-    LdpcCode,
-    RepetitionCode,
     decode_bp_full,
     encode,
     rep_combine,
@@ -62,91 +53,6 @@ DOMAIN_NOISE = 2
 def frame_stream(seed, frame_index, domain):
     """Independent reproducible stream for one frame and purpose."""
     return SeededRng(seed, (frame_index << 2) | domain)
-
-
-class ConfigError(ValueError):
-    """A configuration document or SystemConfig field is invalid."""
-
-
-# Largest number of points an Es/N0 grid may hold, from a config file or a --grid.
-MAX_GRID_POINTS = 10_000
-
-
-def _is_int(v):
-    # bool is a subclass of int, but a JSON true is not a count
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_esn0(v, label):
-    """An Es/N0 in dB as a float: a real number, not NaN and not -inf
-    (+inf is the noiseless limit)."""
-    if not _is_real(v) or math.isnan(v) or v == -math.inf:
-        raise ConfigError(f"{label} {v!r} must be a number, not NaN or -inf")
-    return float(v)
-
-
-_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-
-# (field, its name in a config file, requirement, test) for each scalar field
-_FIELD_RULES = (
-    ("es", "es", "a positive finite number", lambda v: _is_real(v) and 0 < v < math.inf),
-    ("max_iter", "max_iter", *_COUNT),
-    ("min_frame_errors", "stop.min_frame_errors", *_COUNT),
-    ("max_frames", "stop.max_frames", *_COUNT),
-    ("batch_frames", "batch_frames", *_COUNT),
-    ("seed", "seed", "an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64),
-)
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Full experiment description; immutable and shareable across workers.
-    Every field is checked here; errors name it as a config file does."""
-
-    inner: LdpcCode
-    outer: RepetitionCode
-    esn0_grid_db: tuple
-    es: float = 1.0
-    max_iter: int = 50
-    min_frame_errors: int = 50
-    max_frames: int = 1_000_000
-    seed: int = 0
-    batch_frames: int = 256
-
-    def __post_init__(self):
-        if self.inner.n_code != self.outer.n_code:
-            raise ConfigError(
-                f"inner code length {self.inner.n_code} != outer encoded length "
-                f"{self.outer.n_code}; one bit of each stream rides on every symbol"
-            )
-        for name, label, requirement, ok in _FIELD_RULES:
-            if not ok(getattr(self, name)):
-                raise ConfigError(f"{label} must be {requirement}")
-        if not self.esn0_grid_db:
-            raise ConfigError("esn0_grid_db must be non-empty")
-        if len(self.esn0_grid_db) > MAX_GRID_POINTS:
-            raise ConfigError(
-                f"esn0_grid_db has {len(self.esn0_grid_db)} points, more than {MAX_GRID_POINTS}"
-            )
-        grid = tuple(_check_esn0(v, "esn0_grid_db entry") for v in self.esn0_grid_db)
-        object.__setattr__(self, "es", float(self.es))
-        object.__setattr__(self, "esn0_grid_db", grid)
-
-    @property
-    def r1(self):
-        return self.inner.rate
-
-    @property
-    def r2(self):
-        return self.outer.rate
-
-    @property
-    def eta(self):
-        return eta_total(self.r1, self.r2)
 
 
 @dataclass
@@ -176,7 +82,7 @@ class FrameTrace:
 
 def _resolve_esn0(cfg, esn0_db):
     if esn0_db is not None:
-        return _check_esn0(esn0_db, "esn0_db")
+        return _check_esn0(esn0_db, "esn0_db", cfg.es)
     if len(cfg.esn0_grid_db) != 1:
         raise ConfigError("esn0_db is required when the grid has several points")
     return cfg.esn0_grid_db[0]
@@ -519,13 +425,6 @@ def _run_rounds(cfg, kind, workers, pool):
             merged[i] += 1
 
 
-def check_workers(workers):
-    """Reject a worker count outside [1, os.cpu_count()]."""
-    cores = os.cpu_count() or 1
-    if not (_is_int(workers) and 1 <= workers <= cores):
-        raise ConfigError(f"workers must be an integer in [1, {cores}], got {workers!r}")
-
-
 def _sweep(cfg, kind, workers):
     """A SweepResult over the grid: point after point on one worker, in
     rounds across the grid on a pool of several."""
@@ -560,204 +459,3 @@ def run_genie_compare(cfg, workers=1):
     stopping rule follows the error-affected branch. Outer-stream
     numbers are common to both branches by construction."""
     return _sweep(cfg, "pair", workers)
-
-
-# ------------------------------------------------------------ persistence
-
-
-# A CSV column is (header, value of a point, format spec); one table per
-# file drives both its header and its rows.
-SWEEP_COLUMNS = (
-    ("esn0_db", attrgetter("esn0_db"), ".4f"),
-    ("ebn0_db", attrgetter("ebn0_db"), ".4f"),
-    ("ber_inner", attrgetter("ber_inner"), ".6e"),
-    ("ber_outer", attrgetter("ber_outer"), ".6e"),
-    ("ber_combined", attrgetter("ber_combined"), ".6e"),
-    ("fer", attrgetter("fer"), ".6e"),
-    ("frames", attrgetter("frames"), "d"),
-    ("bits", attrgetter("bits"), "d"),
-    ("bits_inner", attrgetter("bits_inner"), "d"),
-    ("bits_outer", attrgetter("bits_outer"), "d"),
-    ("errs_inner", attrgetter("errs_inner"), "d"),
-    ("errs_outer", attrgetter("errs_outer"), "d"),
-    ("frame_errors", attrgetter("frame_errors"), "d"),
-    ("iters_inner_mean", attrgetter("iters_inner_mean"), ".3f"),
-    ("iters_outer_mean", attrgetter("iters_outer_mean"), ".3f"),
-)
-
-# Frames, inner bits and the outer BER are common to both branches; they
-# are read from the error-affected one.
-GENIE_COLUMNS = (
-    ("esn0_db", attrgetter("esn0_db"), ".4f"),
-    ("ebn0_db", attrgetter("ebn0_db"), ".4f"),
-    ("ber_inner_affected", attrgetter("affected.ber_inner"), ".6e"),
-    ("ber_inner_genie", attrgetter("genie.ber_inner"), ".6e"),
-    ("gap_inner_ber", attrgetter("gap_inner_ber"), ".6e"),
-    ("ci95_affected", attrgetter("ci95_affected"), ".6e"),
-    ("ci95_genie", attrgetter("ci95_genie"), ".6e"),
-    ("insignificant", attrgetter("insignificant"), "d"),
-    ("frames", attrgetter("affected.frames"), "d"),
-    ("bits_inner", attrgetter("affected.bits_inner"), "d"),
-    ("errs_inner_affected", attrgetter("affected.errs_inner"), "d"),
-    ("errs_inner_genie", attrgetter("genie.errs_inner"), "d"),
-    ("ber_outer", attrgetter("affected.ber_outer"), ".6e"),
-)
-
-
-def _write_csv(columns, points, path):
-    lines = [",".join(name for name, _get, _fmt in columns)]
-    lines += [",".join(format(get(p), fmt) for _name, get, fmt in columns) for p in points]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_sweep_csv(result, path):
-    _write_csv(SWEEP_COLUMNS, result.points, path)
-
-
-def write_genie_csv(result, path):
-    _write_csv(GENIE_COLUMNS, result.points, path)
-
-
-def version_string():
-    """git-describe if the package sits in a git checkout, else the
-    package version."""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"v{__version__}"
-
-
-def config_to_dict(cfg):
-    """The config document of cfg, in the layout load_config reads; a code
-    built from an explicit matrix has no config entry and is written null."""
-    return {
-        "inner_code": cfg.inner.origin,
-        "outer_code": {"base": cfg.outer.base.origin, "rep_factor": cfg.outer.rep_factor},
-        "es": cfg.es,
-        "esn0_grid_db": list(cfg.esn0_grid_db),
-        "max_iter": cfg.max_iter,
-        "stop": {"min_frame_errors": cfg.min_frame_errors, "max_frames": cfg.max_frames},
-        "seed": cfg.seed,
-        "batch_frames": cfg.batch_frames,
-    }
-
-
-def _stop_record(cfg, p):
-    """Frames, frame errors and the stopping rule that ended one point;
-    read from its counters, so the same for any worker count. A paired
-    point is read from its error-affected branch, which the rule follows."""
-    p = getattr(p, "affected", p)
-    return {"esn0_db": p.esn0_db, "frames": p.frames, "frame_errors": p.frame_errors, "stop": _stopped(cfg, p)}
-
-
-def build_manifest(cfg, result, command, outputs):
-    """Run manifest of a SweepResult: its eta and every point with the
-    reason it stopped."""
-    return {
-        "command": command,
-        "config": config_to_dict(cfg),
-        "seed": cfg.seed,
-        "eta": result.eta,
-        "rates": {"r1": cfg.r1, "r2": cfg.r2, "eta": cfg.eta},
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": [str(p) for p in outputs],
-        "points": [_stop_record(cfg, p) for p in result.points],
-        "code_fingerprints": {
-            "inner": cfg.inner.fingerprint(),
-            "outer_base": cfg.outer.base.fingerprint(),
-        },
-        "version": version_string(),
-    }
-
-
-def write_manifest(manifest, path):
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------- config IO
-
-
-def _expect(cond, msg):
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _code_from_entry(entry, base_dir, where):
-    try:
-        return _build_code(entry, base_dir, where)
-    except CodeConstructionError as exc:
-        field = f"{where}.alist" if isinstance(entry, dict) and "alist" in entry else where
-        raise ConfigError(f"{field}: {exc}") from exc
-
-
-def _build_code(entry, base_dir, where):
-    _expect(isinstance(entry, dict), f"{where} must be an object")
-    if "alist" in entry:
-        extra = set(entry) - {"alist"}
-        _expect(not extra, f"{where}: unexpected fields {sorted(extra)}")
-        _expect(isinstance(entry["alist"], str), f"{where}.alist must be a path string")
-        p = Path(entry["alist"])
-        if not p.is_absolute():
-            p = base_dir / p
-        _expect(p.exists(), f"{where}.alist: no such file {p}")
-        return LdpcCode.from_alist(p)
-    needed = {"n", "row_degree", "col_degree", "seed"}
-    missing = needed - set(entry)
-    _expect(not missing, f"{where}: missing fields {sorted(missing)}")
-    extra = set(entry) - needed
-    _expect(not extra, f"{where}: unexpected fields {sorted(extra)}")
-    for k in needed:
-        _expect(_is_int(entry[k]) and entry[k] >= 0, f"{where}.{k} must be a non-negative integer")
-    return LdpcCode.random_regular(entry["n"], entry["row_degree"], entry["col_degree"], entry["seed"])
-
-
-def load_config(path):
-    """SystemConfig from a JSON document; every field of the dataclass
-    is overridable and validation errors name the offending field.
-    Values outside the code entries are checked by SystemConfig."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} cannot be read: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    except RecursionError:
-        raise ConfigError(f"config {path} nests too deeply to parse")
-    _expect(isinstance(data, dict), "config root must be an object")
-    scalars = {"es", "max_iter", "seed", "batch_frames"}
-    unknown = set(data) - scalars - {"inner_code", "outer_code", "esn0_grid_db", "stop"}
-    _expect(not unknown, f"unknown config fields: {sorted(unknown)}")
-    for k in ("inner_code", "outer_code", "esn0_grid_db"):
-        _expect(k in data, f"missing required field {k}")
-    base_dir = path.resolve().parent
-
-    inner = _code_from_entry(data["inner_code"], base_dir, "inner_code")
-    oc = data["outer_code"]
-    _expect(isinstance(oc, dict), "outer_code must be an object")
-    _expect("base" in oc, "outer_code.base is required")
-    extra = set(oc) - {"base", "rep_factor"}
-    _expect(not extra, f"outer_code: unexpected fields {sorted(extra)}")
-    rep = oc.get("rep_factor", 1)
-    _expect(_is_int(rep) and rep >= 1, "outer_code.rep_factor must be an integer >= 1")
-    outer = RepetitionCode(_code_from_entry(oc["base"], base_dir, "outer_code.base"), rep)
-
-    _expect(isinstance(data["esn0_grid_db"], list), "esn0_grid_db must be a list")
-    kwargs = {k: data[k] for k in scalars & set(data)}
-    stop = data.get("stop", {})
-    _expect(isinstance(stop, dict), "stop must be an object")
-    bad = set(stop) - {"min_frame_errors", "max_frames"}
-    _expect(not bad, f"stop: unexpected fields {sorted(bad)}")
-    kwargs.update(stop)
-    return SystemConfig(inner=inner, outer=outer, esn0_grid_db=tuple(data["esn0_grid_db"]), **kwargs)

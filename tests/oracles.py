@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import logsumexp
 
+from dmmsim.gf2 import row_reduce
 from dmmsim.ldpc import LLR_CAP, CodeConstructionError, _edge_arrays
 
 
@@ -39,6 +40,20 @@ def gf2_rank_naive(mat):
         if r == len(rows):
             break
     return r
+
+
+def rank(mat):
+    """GF(2) rank of a 0/1 matrix by the package's packed elimination,
+    for comparison with gf2_rank_naive."""
+    M = np.asarray(mat, dtype=np.uint8) & 1
+    return len(row_reduce(np.packbits(M, axis=1), M.shape[1])[1])
+
+
+def h_dense(code):
+    """The dense 0/1 parity-check matrix of an LdpcCode."""
+    H = np.zeros((code.n_checks, code.n_code), dtype=np.uint8)
+    H[tuple(np.transpose(code.h_sparse))] = 1
+    return H
 
 
 def row_reduce_reference(mat):
@@ -268,7 +283,7 @@ def alist_text(code, row_lists=True, pad=False):
     degrees, the column and row degrees, then the 1-based row index list
     of every column and, with row_lists, the column index list of every
     row. With pad, each list is filled with zeros to the largest degree."""
-    H = code.h_dense()
+    H = h_dense(code)
     cols = [np.flatnonzero(H[:, j]) + 1 for j in range(code.n_code)]
     rows = [np.flatnonzero(H[i]) + 1 for i in range(code.n_checks)]
     dv, dc = max(map(len, cols)), max(map(len, rows))

@@ -20,7 +20,8 @@ from dmmsim.capacity import esn0_at_mi, mi_bpsk, mi_qpsk, rate_bound_outer
 from dmmsim.channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
 from dmmsim.ldpc import LdpcCode, decode_bp_full, encode, rep_combine
 from dmmsim.modem import Constellation, demap_inner_llr, rotate_by_bits
-from dmmsim.simkit import load_config, run_baseline_frame, run_frame, run_genie_compare
+from dmmsim.config import load_config
+from dmmsim.simkit import run_baseline_frame, run_frame, run_genie_compare
 
 pytestmark = pytest.mark.slow
 

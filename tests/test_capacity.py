@@ -16,8 +16,8 @@ from dmmsim.capacity import (
     mi_grid,
     mi_qpsk,
     rate_bound_outer,
-    write_mi_csv,
 )
+from dmmsim.results import write_mi_csv
 from oracles import mi_qpsk_reference
 
 # Frozen from the independent quadrature + bisection oracle

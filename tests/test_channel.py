@@ -56,6 +56,12 @@ def test_params_accept_infinite_noise():
     assert ChannelParams.from_esn0_db(1.0, -math.inf).sigma2_total == math.inf
 
 
+@pytest.mark.parametrize("es, esn0_db", [(1.0, -3100.0), (1.0, -1e300), (1e300, -100.0)])
+def test_overflowing_noise_power_reads_infinite(es, esn0_db):
+    # a finite Es/N0 whose noise power overflows a float reads as the -inf dB limit
+    assert ChannelParams.from_esn0_db(es, esn0_db).sigma2_total == math.inf
+
+
 def test_seeded_rng_validation():
     with pytest.raises(ValueError):
         SeededRng(seed=-1)

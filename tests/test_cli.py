@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from dmmsim import cli, simkit
+from dmmsim import cli, config, simkit
 from dmmsim.cli import main, parse_grid
-from dmmsim.simkit import ConfigError
+from dmmsim.config import ConfigError
 
 CONFIG = {
     "inner_code": {"n": 96, "row_degree": 6, "col_degree": 3, "seed": 5},
@@ -49,10 +49,10 @@ def test_parse_grid_range_and_list():
         parse_grid("1:2:3:4")
     # ranges too long to build are rejected before any point is made,
     # and comma lists are held to the same cap
-    for text in ("0:1e9:1e-9", "0:inf:1", ",".join(["0.5"] * (simkit.MAX_GRID_POINTS + 1))):
+    for text in ("0:1e9:1e-9", "0:inf:1", ",".join(["0.5"] * (config.MAX_GRID_POINTS + 1))):
         with pytest.raises(ConfigError, match="points"):
             parse_grid(text)
-    assert len(parse_grid(",".join(["0.5"] * simkit.MAX_GRID_POINTS))) == simkit.MAX_GRID_POINTS
+    assert len(parse_grid(",".join(["0.5"] * config.MAX_GRID_POINTS))) == config.MAX_GRID_POINTS
     for text in ("nan", "-inf,0"):
         with pytest.raises(ConfigError, match="NaN"):
             parse_grid(text)
@@ -219,7 +219,7 @@ def test_workers_outside_core_count_rejected(cfg_path, tmp_path, capsys, monkeyp
         raise AssertionError("called after a rejected --workers")
 
     cfg = simkit.load_config(cfg_path)
-    monkeypatch.setattr(simkit.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(config.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(simkit, "ProcessPoolExecutor", no_call)
     monkeypatch.setattr(cli, "load_config", no_call)
     out = tmp_path / "out"
@@ -236,14 +236,14 @@ def test_grid_above_cap_rejected_before_any_frame(cfg_path, tmp_path, capsys, mo
         raise AssertionError("a frame ran on a rejected grid")
 
     monkeypatch.setattr(simkit, "_run_point", no_call)
-    grid = [0.5] * (simkit.MAX_GRID_POINTS + 1)
+    grid = [0.5] * (config.MAX_GRID_POINTS + 1)
     argv = ["ber-sweep", str(cfg_path), "--out-dir", str(tmp_path / "out")]
     if source == "--grid":
         argv.append("--grid=" + ",".join(map(str, grid)))
     else:
         cfg_path.write_text(json.dumps({**CONFIG, "esn0_grid_db": grid}))
     assert main(argv) == 2
-    assert f"points, more than {simkit.MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert f"points, more than {config.MAX_GRID_POINTS}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "dmm_sweep.csv").exists()
 
 
@@ -297,6 +297,29 @@ def test_config_errors_exit_nonzero(tmp_path, capsys):
     rc = main(["ber-sweep", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra",
+    [
+        ("ber-sweep", None, ["--grid=-3100"]),
+        ("genie-compare", {**CONFIG, "esn0_grid_db": [-3100.0]}, []),
+        ("ber-sweep", {**CONFIG, "es": 1e300, "esn0_grid_db": [-100.0]}, []),
+    ],
+)
+def test_infinite_noise_power_exits_2(tmp_path, capsys, command, doc, extra):
+    # a finite Es/N0 whose noise power overflows is refused before any frame runs
+    cfg = ROOT / "configs" / "desk_scale.json"
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), *extra, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: esn0_grid_db") and "Traceback" not in captured.err
+    assert "infinite noise power" in captured.err
+    assert not out.exists()
 
 
 REMOVED_OPTIONS = {"genie_beta": False, "outer_rebuild": "reencode"}

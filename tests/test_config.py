@@ -1,0 +1,92 @@
+"""The config layer: one table states the config-file layout of every
+scalar field, and the noise-power rule guards every Es/N0 a run uses."""
+
+import json
+import math
+from dataclasses import fields
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dmmsim.config import _FIELD_RULES, ConfigError, SystemConfig, config_to_dict, load_config
+from dmmsim.simkit import run_baseline_frame, run_frame
+from test_simkit import small_config
+
+# the SystemConfig fields that a config file holds as entries of their own
+NOT_SCALAR = ("inner", "outer", "esn0_grid_db")
+
+
+def test_every_scalar_field_has_one_rule():
+    rules = sorted(name for name, *_ in _FIELD_RULES)
+    assert rules == sorted(f.name for f in fields(SystemConfig) if f.name not in NOT_SCALAR)
+    labels = [label for _name, label, *_ in _FIELD_RULES]
+    assert len(set(labels)) == len(labels)
+
+
+CODES = {
+    "inner_code": {"n": 96, "row_degree": 6, "col_degree": 3, "seed": 5},
+    "outer_code": {"base": {"n": 24, "row_degree": 6, "col_degree": 4, "seed": 8}, "rep_factor": 4},
+}
+
+COUNTS = st.integers(1, 2**64)
+# in-range values of each scalar field, by field name
+IN_RANGE = {
+    "es": st.floats(1e-300, 1e300),
+    "max_iter": COUNTS,
+    "min_frame_errors": COUNTS,
+    "max_frames": COUNTS,
+    "batch_frames": COUNTS,
+    "seed": st.integers(0, 2**64 - 1),
+}
+# Es/N0 values with a finite noise power at any es in IN_RANGE
+GRIDS = st.lists(st.one_of(st.floats(-30.0, 30.0), st.just(math.inf)), min_size=1, max_size=4)
+
+
+def entry(doc, label):
+    """The object of a document that holds the key at ``label``, and that key."""
+    *parents, key = label.split(".")
+    for p in parents:
+        doc = doc.setdefault(p, {})
+    return doc, key
+
+
+@st.composite
+def valid_documents(draw):
+    """The two codes, a grid and any subset of the table's keys, each at an in-range value."""
+    doc = {**json.loads(json.dumps(CODES)), "esn0_grid_db": draw(GRIDS)}
+    for name, label, *_ in draw(st.lists(st.sampled_from(_FIELD_RULES), unique=True)):
+        obj, key = entry(doc, label)
+        obj[key] = draw(IN_RANGE[name])
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=valid_documents())
+def test_config_to_dict_inverts_load_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    want = json.loads(json.dumps(doc))
+    defaults = {f.name: f.default for f in fields(SystemConfig)}
+    for name, label, *_ in _FIELD_RULES:
+        obj, key = entry(want, label)
+        obj.setdefault(key, defaults[name])
+    assert config_to_dict(load_config(path)) == want
+
+
+@pytest.mark.parametrize("es, esn0_db", [(1.0, -3100.0), (1.0, -1e300), (1e300, -100.0)])
+def test_infinite_noise_power_rejected(es, esn0_db):
+    with pytest.raises(ConfigError, match=r"esn0_grid_db entry .* gives an infinite noise power"):
+        small_config(es=es, esn0_grid_db=(0.0, esn0_db))
+    cfg = small_config(es=es)
+    for run in (run_frame, run_baseline_frame):
+        with pytest.raises(ConfigError, match=r"esn0_db .* gives an infinite noise power"):
+            run(cfg, 0, esn0_db=esn0_db)
+
+
+def test_integer_beyond_float_range_rejected():
+    # such an integer has no float value; it is refused, not an OverflowError
+    with pytest.raises(ConfigError, match="esn0_grid_db entry"):
+        small_config(esn0_grid_db=(-(10**400),))
+    with pytest.raises(ConfigError, match="es must"):
+        small_config(es=10**400)

@@ -21,7 +21,7 @@ from dmmsim.ldpc import (
     rep_combine,
     rep_encode,
 )
-from dmmsim.simkit import load_config
+from dmmsim.config import load_config
 from oracles import (
     HAMMING_H,
     TREE_H,
@@ -33,6 +33,7 @@ from oracles import (
     exact_bit_posteriors,
     gaussian_logpdf,
     gf2_rank_naive,
+    h_dense,
     ml_codeword,
     syndrome_int,
 )
@@ -219,7 +220,7 @@ def test_syndrome_invariant_random_info():
     ]
     rng = np.random.default_rng(3)
     for code in codes:
-        H = code.h_dense()
+        H = h_dense(code)
         for _ in range(1000):
             info = rng.integers(0, 2, code.k_info, dtype=np.uint8)
             assert not syndrome_int(H, encode(code, info)).any()
@@ -242,7 +243,7 @@ def test_encode_properties_on_random_regular_codes(code, data):
     info = st.lists(st.integers(0, 1), min_size=code.k_info, max_size=code.k_info).map(
         lambda b: np.array(b, dtype=np.uint8))
     a, b = data.draw(info), data.draw(info)
-    H = code.h_dense()
+    H = h_dense(code)
     assert not syndrome_int(H, encode(code, a)).any()
     assert np.array_equal(encode(code, a ^ b), encode(code, a) ^ encode(code, b))
     words = (np.arange(2**code.n_code)[:, None] >> np.arange(code.n_code)) & 1
@@ -366,7 +367,7 @@ def test_decode_matches_reference_kernel_on_irregular_codes(code, data, max_iter
     llr = np.array(data.draw(st.lists(LLR_VALUES, min_size=code.n_code, max_size=code.n_code)))
     assert_same_decode(code, llr, max_iter, early_exit)
     bits = (llr < 0).astype(np.uint8)
-    assert np.array_equal(code.syndrome(bits), syndrome_int(code.h_dense(), bits))
+    assert np.array_equal(code.syndrome(bits), syndrome_int(h_dense(code), bits))
 
 
 def test_decode_matches_reference_kernel_on_degree_one_checks():
@@ -632,7 +633,7 @@ def test_alist_roundtrip(tmp_path):
     p = tmp_path / "hamming.alist"
     p.write_text(ALIST_HAMMING)
     code = LdpcCode.from_alist(p)
-    assert np.array_equal(code.h_dense(), HAMMING_H)
+    assert np.array_equal(h_dense(code), HAMMING_H)
     assert code.k_info == 4
 
 
@@ -641,7 +642,7 @@ def test_alist_zero_padding_tolerated(tmp_path):
     p = tmp_path / "padded.alist"
     p.write_text(padded)
     code = LdpcCode.from_alist(p)
-    assert np.array_equal(code.h_dense(), HAMMING_H)
+    assert np.array_equal(h_dense(code), HAMMING_H)
 
 
 def test_alist_without_row_lists(tmp_path):
@@ -649,7 +650,7 @@ def test_alist_without_row_lists(tmp_path):
     p = tmp_path / "cols_only.alist"
     p.write_text(text)
     code = LdpcCode.from_alist(p)
-    assert np.array_equal(code.h_dense(), HAMMING_H)
+    assert np.array_equal(h_dense(code), HAMMING_H)
 
 
 def test_alist_malformed(tmp_path):
@@ -693,7 +694,7 @@ def test_alist_malformed(tmp_path):
 def codes_with_empty_column(draw):
     """An irregular code with an all-zero column inserted: an unpadded
     alist writes that column's row list as a blank line."""
-    h = draw(irregular_codes()).h_dense()
+    h = h_dense(draw(irregular_codes()))
     j = draw(st.integers(0, h.shape[1]))
     return LdpcCode.from_dense(np.insert(h, j, 0, axis=1))
 

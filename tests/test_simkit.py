@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dmmsim import cli, simkit
+from dmmsim import cli, config, simkit
 from dmmsim.channel import ChannelParams, ebn0_from_esn0
 from dmmsim.ldpc import LdpcCode, RepetitionCode, encode, rep_combine
 from dmmsim.modem import (
@@ -20,24 +20,18 @@ from dmmsim.modem import (
     map_bpsk,
     rotate_by_bits,
 )
+from dmmsim.config import ConfigError, SystemConfig, config_to_dict, load_config
+from dmmsim.results import build_manifest, write_genie_csv, write_manifest, write_sweep_csv
 from dmmsim.simkit import (
-    ConfigError,
     GeniePoint,
     SweepPoint,
     SweepResult,
-    SystemConfig,
-    build_manifest,
-    config_to_dict,
     frame_stream,
-    load_config,
     run_baseline_frame,
     run_bpsk_baseline,
     run_frame,
     run_genie_compare,
     run_sweep,
-    write_genie_csv,
-    write_manifest,
-    write_sweep_csv,
 )
 from oracles import (
     GENIE_HEADER_FORMER,
@@ -596,7 +590,7 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "seed": -1}, "seed"),
         ({**GOOD_CONFIG, "inner_code": {"alist": 7}}, "inner_code.alist"),
         ({**GOOD_CONFIG, "esn0_grid_db": 0.5}, "esn0_grid_db"),
-        ({**GOOD_CONFIG, "esn0_grid_db": [0.5] * (simkit.MAX_GRID_POINTS + 1)}, "esn0_grid_db has 10001 points"),
+        ({**GOOD_CONFIG, "esn0_grid_db": [0.5] * (config.MAX_GRID_POINTS + 1)}, "esn0_grid_db has 10001 points"),
         # too long to build; rejected before any allocation
         ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "n": 10**9}}, "inner_code: n_code"),
     ]
