@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import ChannelParams
+
 
 @dataclass(frozen=True)
 class MiPoint:
@@ -56,10 +58,7 @@ def _noise_var(esn0_db):
     float (below about -3082.5 dB). NaN is not an Es/N0 and raises."""
     if math.isnan(esn0_db):
         raise ValueError(f"esn0_db must not be NaN, got {esn0_db!r}")
-    try:
-        return 10.0 ** (-esn0_db / 10.0) / 2.0
-    except OverflowError:
-        return math.inf
+    return ChannelParams.from_esn0_db(esn0_db).sigma2_dim
 
 
 def mi_bpsk(esn0_db):

@@ -1,7 +1,8 @@
 """Complex AWGN with explicit SNR bookkeeping.
 
-Es/N0 is defined as es / sigma2_total with sigma2_total the TOTAL
-complex noise power, so each dimension sees variance sigma2_total / 2.
+Symbol energy is 1, so Es/N0 is 1 / sigma2_total with sigma2_total the
+TOTAL complex noise power, and each dimension sees variance
+sigma2_total / 2.
 Noise generation is counter-based (Philox keyed by seed and stream id)
 with ziggurat normals, so any (seed, stream_id) pair reproduces its
 sequence independently of every other stream.
@@ -15,15 +16,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Symbol energy and noise power; sigma2_total = 0 means noiseless."""
+    """Noise power at unit symbol energy; sigma2_total = 0 means noiseless."""
 
-    es: float
     sigma2_total: float
 
     def __post_init__(self):
-        # written as what must hold, so that NaN fails each check
-        if not 0 < self.es < math.inf:
-            raise ValueError("es must be positive and finite")
+        # written as what must hold, so that NaN fails the check
         if not self.sigma2_total >= 0:
             raise ValueError("sigma2_total must be non-negative")
 
@@ -35,16 +33,16 @@ class ChannelParams:
     def esn0_db(self):
         if self.sigma2_total == 0:
             return math.inf
-        return 10.0 * math.log10(self.es / self.sigma2_total)
+        return 10.0 * math.log10(1.0 / self.sigma2_total)
 
     @classmethod
-    def from_esn0_db(cls, es, esn0_db):
+    def from_esn0_db(cls, esn0_db):
         """The channel at Es/N0 (dB); its noise power is +inf where it overflows, as at -inf dB."""
         try:
-            sigma2_total = es * 10.0 ** (-esn0_db / 10.0)
+            sigma2_total = 10.0 ** (-esn0_db / 10.0)
         except OverflowError:
             sigma2_total = math.inf
-        return cls(es=es, sigma2_total=sigma2_total)
+        return cls(sigma2_total=sigma2_total)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .capacity import eta_total
-from .channel import ChannelParams
 from .ldpc import CodeConstructionError, LdpcCode, RepetitionCode
 
 
@@ -34,14 +33,25 @@ def _is_real(v):
     return isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max
 
 
-def _check_esn0(v, label, es=None):
+# Lowest Es/N0 (dB) of a frame, about -3058.5 dB. The outer demapper sums
+# two squared distances, each at most (2 + |z| sigma)^2 for a per-dimension
+# noise deviation sigma and a normal draw z. numpy's ziggurat never draws
+# |z| above 14, so with a margin to 16 sigma each square stays below half
+# the largest float while the total noise power 2 sigma^2 <= max / 16^2.
+FRAME_ESN0_MIN_DB = -10.0 * math.log10(sys.float_info.max / 16.0**2)
+
+
+def _check_esn0(v, label, frame=False):
     """An Es/N0 in dB as a float: a real number, not NaN and not -inf
-    (+inf is the noiseless limit). Given the symbol energy es, the noise
-    power there must be finite too, which fails far enough below 0 dB."""
+    (+inf is the noiseless limit). The Es/N0 of a frame must also be at
+    least FRAME_ESN0_MIN_DB, where the demapper's arithmetic stays finite."""
     if not _is_real(v) or math.isnan(v) or v == -math.inf:
         raise ConfigError(f"{label} {v!r} must be a number, not NaN or -inf")
-    if es is not None and ChannelParams.from_esn0_db(es, v).sigma2_total == math.inf:
-        raise ConfigError(f"{label} {v!r} gives an infinite noise power at es = {es!r}")
+    if frame and v < FRAME_ESN0_MIN_DB:
+        raise ConfigError(
+            f"{label} {v!r} is below the frame floor of {FRAME_ESN0_MIN_DB:.1f} dB, "
+            "where the demapper's squared distances can overflow"
+        )
     return float(v)
 
 
@@ -56,7 +66,6 @@ _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 
 # (field, its key path in a config file, requirement, test) for each scalar field
 _FIELD_RULES = (
-    ("es", "es", "a positive finite number", lambda v: _is_real(v) and 0 < v < math.inf),
     ("max_iter", "max_iter", *_COUNT),
     ("min_frame_errors", "stop.min_frame_errors", *_COUNT),
     ("max_frames", "stop.max_frames", *_COUNT),
@@ -89,7 +98,6 @@ class SystemConfig:
     inner: LdpcCode
     outer: RepetitionCode
     esn0_grid_db: tuple
-    es: float = 1.0
     max_iter: int = 50
     min_frame_errors: int = 50
     max_frames: int = 1_000_000
@@ -111,8 +119,7 @@ class SystemConfig:
             raise ConfigError(
                 f"esn0_grid_db has {len(self.esn0_grid_db)} points, more than {MAX_GRID_POINTS}"
             )
-        grid = tuple(_check_esn0(v, "esn0_grid_db entry", self.es) for v in self.esn0_grid_db)
-        object.__setattr__(self, "es", float(self.es))
+        grid = tuple(_check_esn0(v, "esn0_grid_db entry", frame=True) for v in self.esn0_grid_db)
         object.__setattr__(self, "esn0_grid_db", grid)
 
     @property

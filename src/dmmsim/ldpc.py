@@ -136,8 +136,6 @@ class LdpcCode:
         n_code: code length.
         k_info: number of information bits (n_code - n_checks).
         n_checks: number of parity-check rows.
-        g_dense: (k_info, n_code) uint8 systematic generator, unpacked
-            from the stored bit-packed one on each access.
         info_positions: columns where info bits appear verbatim.
     """
 
@@ -179,10 +177,6 @@ class LdpcCode:
         # the config entry that rebuilds this code, for run manifests; set by
         # the constructors a config file can name, None for an explicit matrix
         self.origin = None
-
-    @property
-    def g_dense(self):
-        return np.unpackbits(self._g_packed, axis=1, count=self.n_code)
 
     @property
     def h_sparse(self):

@@ -36,7 +36,6 @@ from .ldpc import (
     rep_encode,
 )
 from .modem import (
-    Constellation,
     demap_inner_llr,
     demap_outer_hard,
     demap_outer_llr,
@@ -59,8 +58,8 @@ def frame_stream(seed, frame_index, domain):
 class FrameTrace:
     """Every stage of one frame, as produced at the transmitter and receiver.
     The outer fields are None on a baseline frame, which has no outer stream.
-    The transmit points are Constellation(es).points[2 * v1 + v2], or the
-    BPSK points of v1 on a baseline frame."""
+    The transmit points are modem.POINTS[2 * v1 + v2], or the BPSK points
+    of v1 on a baseline frame."""
 
     frame_index: int
     esn0_db: float
@@ -82,7 +81,7 @@ class FrameTrace:
 
 def _resolve_esn0(cfg, esn0_db):
     if esn0_db is not None:
-        return _check_esn0(esn0_db, "esn0_db", cfg.es)
+        return _check_esn0(esn0_db, "esn0_db", frame=True)
     if len(cfg.esn0_grid_db) != 1:
         raise ConfigError("esn0_db is required when the grid has several points")
     return cfg.esn0_grid_db[0]
@@ -95,10 +94,10 @@ def _frame_bits(cfg, frame_index, domain, k):
 def _bpsk_front_end(cfg, frame_index, esn0_db):
     """A frame's inner bits, codeword and received BPSK sequence;
     the one place where its inner bits and noise are drawn."""
-    params = ChannelParams.from_esn0_db(cfg.es, esn0_db)
+    params = ChannelParams.from_esn0_db(esn0_db)
     c1 = _frame_bits(cfg, frame_index, DOMAIN_INNER_BITS, cfg.inner.k_info)
     v1 = encode(cfg.inner, c1)
-    y1 = add_noise(map_bpsk(v1, cfg.es), params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
+    y1 = add_noise(map_bpsk(v1), params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
     return params, c1, v1, y1
 
 
@@ -112,11 +111,10 @@ def _dmm_front_end(cfg, frame_index, esn0_db):
 
 
 def _outer_stage(cfg, y, params):
-    cst = Constellation(cfg.es)
     if params.sigma2_dim > 0:
-        llr_sym = demap_outer_llr(y, cst, params.sigma2_dim)
+        llr_sym = demap_outer_llr(y, params.sigma2_dim)
     else:
-        llr_sym = (1.0 - 2.0 * demap_outer_hard(y, cst)) * LLR_CAP
+        llr_sym = (1.0 - 2.0 * demap_outer_hard(y)) * LLR_CAP
     llr_outer = rep_combine(cfg.outer, llr_sym)
     hard_base, _post, iters, conv = decode_bp_full(cfg.outer.base, llr_outer, cfg.max_iter)
     c2_hat = hard_base[cfg.outer.base.info_positions]
@@ -130,7 +128,7 @@ def _outer_stage(cfg, y, params):
 def _inner_receive(cfg, y1, params):
     """Demap and decode the inner stream of an already derotated sequence."""
     if params.sigma2_dim > 0:
-        llr_inner = demap_inner_llr(y1, cfg.es, params.sigma2_dim)
+        llr_inner = demap_inner_llr(y1, params.sigma2_dim)
     else:
         llr_inner = np.sign(y1[..., 0]) * LLR_CAP
     hard, _post, iters, conv = decode_bp_full(cfg.inner, llr_inner, cfg.max_iter)
@@ -338,7 +336,7 @@ def _pair_frame(cfg, frame_index, esn0_db, affected, genie):
     affected.add_frame(t)
     if not np.array_equal(t.v2_hat, t.v2):
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
-        params = ChannelParams.from_esn0_db(cfg.es, t.esn0_db)
+        params = ChannelParams.from_esn0_db(t.esn0_db)
         llr_inner, c1_hat, iters, conv = _inner_receive(cfg, y1, params)
         t = replace(t, llr_inner=llr_inner, c1_hat=c1_hat, iters_inner=iters, converged_inner=conv)
     genie.add_frame(t)

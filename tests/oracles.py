@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from dmmsim.gf2 import row_reduce
-from dmmsim.ldpc import LLR_CAP, CodeConstructionError, _edge_arrays
+from dmmsim.ldpc import LLR_CAP, CodeConstructionError, _edge_arrays, derive_generator
+from dmmsim.modem import POINTS
 
 
 def gf2_rank_naive(mat):
@@ -54,6 +55,13 @@ def h_dense(code):
     H = np.zeros((code.n_checks, code.n_code), dtype=np.uint8)
     H[tuple(np.transpose(code.h_sparse))] = 1
     return H
+
+
+def g_dense(code):
+    """The (k_info, n_code) 0/1 systematic generator of an LdpcCode,
+    derived again from its public parity-check matrix."""
+    packed, _info_positions = derive_generator(code.h_sparse, code.n_code, code.k_info)
+    return np.unpackbits(packed, axis=1, count=code.n_code)
 
 
 def row_reduce_reference(mat):
@@ -167,14 +175,14 @@ def bpsk_llr_density(y, es, sigma2_dim):
     return gaussian_logpdf(y, a, sigma2_dim) - gaussian_logpdf(y, -a, sigma2_dim)
 
 
-def demap_outer_llr_reference(y, cst, sigma2_dim):
+def demap_outer_llr_reference(y, sigma2_dim):
     """Outer-bit LLR from the squared distances to all four constellation
     points at once, an (..., 4, 2) broadcast summed over its last axis:
     the demapper's former body, kept to pin the current one bit for bit."""
     if sigma2_dim <= 0:
         raise ValueError("sigma2_dim must be positive")
     y = np.asarray(y, dtype=np.float64)
-    e = -((y[..., None, :] - cst.points) ** 2).sum(axis=-1) / (2.0 * sigma2_dim)
+    e = -((y[..., None, :] - POINTS) ** 2).sum(axis=-1) / (2.0 * sigma2_dim)
     return np.logaddexp(e[..., 0], e[..., 2]) - np.logaddexp(e[..., 1], e[..., 3])
 
 

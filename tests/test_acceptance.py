@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import exact_bit_posteriors, TREE_H
+from oracles import exact_bit_posteriors, g_dense, TREE_H
 
 from dmmsim.capacity import esn0_at_mi, mi_bpsk, mi_qpsk, rate_bound_outer
 from dmmsim.channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
 from dmmsim.ldpc import LdpcCode, decode_bp_full, encode, rep_combine
-from dmmsim.modem import Constellation, demap_inner_llr, rotate_by_bits
+from dmmsim.modem import POINTS, demap_inner_llr, rotate_by_bits
 from dmmsim.config import load_config
 from dmmsim.simkit import run_baseline_frame, run_frame, run_genie_compare
 
@@ -68,7 +68,7 @@ def test_mi_engine(capsys):
 
 def test_genie_llr_identity(desk_cfg, capsys):
     # derotating by the true rotation bits is the genie branch
-    s2d = ChannelParams.from_esn0_db(desk_cfg.es, -1.0).sigma2_dim
+    s2d = ChannelParams.from_esn0_db(-1.0).sigma2_dim
     n_frames = 100
     same = 0
     for fi in range(n_frames):
@@ -77,7 +77,7 @@ def test_genie_llr_identity(desk_cfg, capsys):
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
         if (
             y1.tobytes() == b.received.tobytes()
-            and demap_inner_llr(y1, desk_cfg.es, s2d).tobytes() == b.llr_inner.tobytes()
+            and demap_inner_llr(y1, s2d).tobytes() == b.llr_inner.tobytes()
             and np.array_equal(t.c1, b.c1)
         ):
             same += 1
@@ -91,23 +91,21 @@ def test_genie_llr_identity(desk_cfg, capsys):
 
 
 def test_constellation_geometry(capsys):
-    ok = True
-    for es in (0.25, 1.0, 4.0, 9.0):
-        p = Constellation(es).points
-        in_pair = ((p[0] - p[2]) ** 2).sum(), ((p[1] - p[3]) ** 2).sum()
-        cross = (
-            ((p[0] - p[1]) ** 2).sum(),
-            ((p[1] - p[2]) ** 2).sum(),
-            ((p[2] - p[3]) ** 2).sum(),
-            ((p[3] - p[0]) ** 2).sum(),
-        )
-        ok = ok and all(d == 4.0 * es for d in in_pair) and all(d == 2.0 * es for d in cross)
+    p = POINTS
+    in_pair = ((p[0] - p[2]) ** 2).sum(), ((p[1] - p[3]) ** 2).sum()
+    cross = (
+        ((p[0] - p[1]) ** 2).sum(),
+        ((p[1] - p[2]) ** 2).sum(),
+        ((p[2] - p[3]) ** 2).sum(),
+        ((p[3] - p[0]) ** 2).sum(),
+    )
+    ok = all(d == 4.0 for d in in_pair) and all(d == 2.0 for d in cross)
     ok = ok and rate_bound_outer(0.5) == 0.125
     report(
         capsys,
         "constellation geometry",
         ok,
-        "in-pair distance^2 = 4Es and cross-pair = 2Es exactly; "
+        "in-pair distance^2 = 4 and cross-pair = 2 exactly at Es = 1; "
         f"R1/4 heuristic at r1=1/2 is {rate_bound_outer(0.5)} (arithmetic only)",
     )
 
@@ -180,7 +178,7 @@ def test_codec_suite(desk_cfg, capsys):
         llr = rng.normal(0.0, 2.0, 7)
         _, post, _, _ = decode_bp_full(tree, llr, max_iter=20, early_exit=False)
         p1_bp = 1.0 / (1.0 + np.exp(post))
-        worst = max(worst, float(np.max(np.abs(p1_bp - exact_bit_posteriors(tree.g_dense, llr)))))
+        worst = max(worst, float(np.max(np.abs(p1_bp - exact_bit_posteriors(g_dense(tree), llr)))))
     bp_ml_ok = worst <= 1e-6
 
     # repetition combining is an exact sum
@@ -189,7 +187,7 @@ def test_codec_suite(desk_cfg, capsys):
     rep_ok = np.array_equal(comb, llr.reshape(-1, desk_cfg.outer.rep_factor).sum(axis=1))
 
     # noise calibration: per-dimension variance within 3 sigma at 1e6 samples
-    params = ChannelParams(es=1.0, sigma2_total=0.8)
+    params = ChannelParams(sigma2_total=0.8)
     n = add_noise(np.zeros((500_000, 2)), params, SeededRng(4, 4)).ravel()
     se = params.sigma2_dim * math.sqrt(2.0 / (n.size - 1))
     noise_ok = abs(n.var(ddof=1) - params.sigma2_dim) <= 3.0 * se

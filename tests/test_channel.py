@@ -11,55 +11,44 @@ ETA_7_12_SHIFT_DB = 2.3408320603336796  # -10*log10(7/12)
 
 
 def test_params_derived_quantities():
-    p = ChannelParams(es=2.0, sigma2_total=0.5)
+    p = ChannelParams(sigma2_total=0.5)
     assert p.sigma2_dim == 0.25
-    assert abs(p.esn0_db - 10 * math.log10(2.0 / 0.5)) < 1e-12
+    assert abs(p.esn0_db - 10 * math.log10(1.0 / 0.5)) < 1e-12
 
 
 def test_params_from_esn0_roundtrip():
     for esn0 in (-7.3, 0.0, 4.25):
-        p = ChannelParams.from_esn0_db(1.0, esn0)
+        p = ChannelParams.from_esn0_db(esn0)
         assert abs(p.esn0_db - esn0) < 1e-12
         assert p.sigma2_dim == p.sigma2_total / 2
 
 
 def test_params_noiseless_limit():
-    p = ChannelParams.from_esn0_db(1.0, math.inf)
+    p = ChannelParams.from_esn0_db(math.inf)
     assert p.sigma2_total == 0.0
     assert p.esn0_db == math.inf
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ChannelParams(es=0.0, sigma2_total=1.0)
-    with pytest.raises(ValueError):
-        ChannelParams(es=1.0, sigma2_total=-0.1)
+        ChannelParams(sigma2_total=-0.1)
 
 
-@pytest.mark.parametrize(
-    "es, sigma2_total",
-    [
-        (math.nan, 1.0),
-        (math.inf, 1.0),
-        (-math.inf, 1.0),
-        (1.0, math.nan),
-        (1.0, -math.inf),
-    ],
-)
-def test_params_reject_nan_and_inf(es, sigma2_total):
+@pytest.mark.parametrize("sigma2_total", [math.nan, -math.inf])
+def test_params_reject_nan_and_inf(sigma2_total):
     with pytest.raises(ValueError):
-        ChannelParams(es=es, sigma2_total=sigma2_total)
+        ChannelParams(sigma2_total=sigma2_total)
 
 
 def test_params_accept_infinite_noise():
     # the -inf dB limit of from_esn0_db; only NaN is refused
-    assert ChannelParams.from_esn0_db(1.0, -math.inf).sigma2_total == math.inf
+    assert ChannelParams.from_esn0_db(-math.inf).sigma2_total == math.inf
 
 
-@pytest.mark.parametrize("es, esn0_db", [(1.0, -3100.0), (1.0, -1e300), (1e300, -100.0)])
-def test_overflowing_noise_power_reads_infinite(es, esn0_db):
+@pytest.mark.parametrize("esn0_db", [-3100.0, -1e300])
+def test_overflowing_noise_power_reads_infinite(esn0_db):
     # a finite Es/N0 whose noise power overflows a float reads as the -inf dB limit
-    assert ChannelParams.from_esn0_db(es, esn0_db).sigma2_total == math.inf
+    assert ChannelParams.from_esn0_db(esn0_db).sigma2_total == math.inf
 
 
 def test_seeded_rng_validation():
@@ -79,7 +68,7 @@ def test_seeds_keep_all_64_bits():
 
 def test_noiseless_identity_and_copy():
     s = np.ones((16, 2))
-    p = ChannelParams(es=1.0, sigma2_total=0.0)
+    p = ChannelParams(sigma2_total=0.0)
     y = add_noise(s, p, SeededRng(seed=1))
     assert np.array_equal(y, s)
     y[0, 0] = 99.0
@@ -88,7 +77,7 @@ def test_noiseless_identity_and_copy():
 
 def test_same_stream_reproduces():
     s = np.zeros((64, 2))
-    p = ChannelParams(es=1.0, sigma2_total=1.0)
+    p = ChannelParams(sigma2_total=1.0)
     y1 = add_noise(s, p, SeededRng(seed=7, stream_id=3))
     y2 = add_noise(s, p, SeededRng(seed=7, stream_id=3))
     assert np.array_equal(y1, y2)
@@ -96,7 +85,7 @@ def test_same_stream_reproduces():
 
 def test_distinct_streams_differ():
     s = np.zeros((64, 2))
-    p = ChannelParams(es=1.0, sigma2_total=1.0)
+    p = ChannelParams(sigma2_total=1.0)
     y1 = add_noise(s, p, SeededRng(seed=7, stream_id=3))
     y2 = add_noise(s, p, SeededRng(seed=7, stream_id=4))
     y3 = add_noise(s, p, SeededRng(seed=8, stream_id=3))
@@ -106,7 +95,7 @@ def test_distinct_streams_differ():
 
 def test_noise_calibration_one_million_samples():
     n = 1_000_000
-    p = ChannelParams(es=1.0, sigma2_total=1.0)  # sigma2_dim = 0.5
+    p = ChannelParams(sigma2_total=1.0)  # sigma2_dim = 0.5
     y = add_noise(np.zeros((n, 2)), p, SeededRng(seed=99))
     var = y.var(axis=0)
     # tolerance band for the sample variance
@@ -122,7 +111,7 @@ def test_noise_calibration_one_million_samples():
 
 def test_noise_rotation_invariance_moments():
     n = 200_000
-    p = ChannelParams(es=1.0, sigma2_total=0.8)
+    p = ChannelParams(sigma2_total=0.8)
     y = add_noise(np.zeros((n, 2)), p, SeededRng(seed=5))
     r = rotate_by_bits(y, np.ones(n, dtype=np.uint8))
     se = math.sqrt(p.sigma2_dim / n)

@@ -304,11 +304,10 @@ def test_config_errors_exit_nonzero(tmp_path, capsys):
     [
         ("ber-sweep", None, ["--grid=-3100"]),
         ("genie-compare", {**CONFIG, "esn0_grid_db": [-3100.0]}, []),
-        ("ber-sweep", {**CONFIG, "es": 1e300, "esn0_grid_db": [-100.0]}, []),
     ],
 )
 def test_infinite_noise_power_exits_2(tmp_path, capsys, command, doc, extra):
-    # a finite Es/N0 whose noise power overflows is refused before any frame runs
+    # a finite Es/N0 below the frame floor is refused before any frame runs
     cfg = ROOT / "configs" / "desk_scale.json"
     if doc is not None:
         cfg = tmp_path / "cfg.json"
@@ -318,11 +317,11 @@ def test_infinite_noise_power_exits_2(tmp_path, capsys, command, doc, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: esn0_grid_db") and "Traceback" not in captured.err
-    assert "infinite noise power" in captured.err
+    assert "below the frame floor" in captured.err
     assert not out.exists()
 
 
-REMOVED_OPTIONS = {"genie_beta": False, "outer_rebuild": "reencode"}
+REMOVED_OPTIONS = {"genie_beta": False, "outer_rebuild": "reencode", "es": 1.0}
 
 
 def _unreadable_input(tmp_path, case):
@@ -344,7 +343,7 @@ def _unreadable_input(tmp_path, case):
         (tmp_path / "latin1.alist").write_bytes(b"7 3\n\xe9\n")
         doc = {**CONFIG, "outer_code": {"base": {"alist": "latin1.alist"}, "rep_factor": 4}}
         needles = ["outer_code.base.alist", "cannot read alist"]
-    else:  # a receiver option that was removed, at a value it once took
+    else:  # a config option that was removed, at a value it once took
         doc = {**CONFIG, case: REMOVED_OPTIONS[case]}
         needles = ["unknown config fields", case]
     cfg.write_text(json.dumps(doc))

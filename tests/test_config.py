@@ -1,5 +1,5 @@
 """The config layer: one table states the config-file layout of every
-scalar field, and the noise-power rule guards every Es/N0 a run uses."""
+scalar field, and the frame floor guards every Es/N0 a frame runs at."""
 
 import json
 import math
@@ -9,7 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dmmsim.config import _FIELD_RULES, ConfigError, SystemConfig, config_to_dict, load_config
+from dmmsim.config import (
+    _FIELD_RULES,
+    FRAME_ESN0_MIN_DB,
+    ConfigError,
+    SystemConfig,
+    config_to_dict,
+    load_config,
+)
 from dmmsim.simkit import run_baseline_frame, run_frame
 from test_simkit import small_config
 
@@ -32,14 +39,13 @@ CODES = {
 COUNTS = st.integers(1, 2**64)
 # in-range values of each scalar field, by field name
 IN_RANGE = {
-    "es": st.floats(1e-300, 1e300),
     "max_iter": COUNTS,
     "min_frame_errors": COUNTS,
     "max_frames": COUNTS,
     "batch_frames": COUNTS,
     "seed": st.integers(0, 2**64 - 1),
 }
-# Es/N0 values with a finite noise power at any es in IN_RANGE
+# Es/N0 values above the frame floor
 GRIDS = st.lists(st.one_of(st.floats(-30.0, 30.0), st.just(math.inf)), min_size=1, max_size=4)
 
 
@@ -74,19 +80,26 @@ def test_config_to_dict_inverts_load_config(tmp_path, doc):
     assert config_to_dict(load_config(path)) == want
 
 
-@pytest.mark.parametrize("es, esn0_db", [(1.0, -3100.0), (1.0, -1e300), (1e300, -100.0)])
-def test_infinite_noise_power_rejected(es, esn0_db):
-    with pytest.raises(ConfigError, match=r"esn0_grid_db entry .* gives an infinite noise power"):
-        small_config(es=es, esn0_grid_db=(0.0, esn0_db))
-    cfg = small_config(es=es)
+@pytest.mark.parametrize("esn0_db", [-3100.0, -1e300, -3080.0])
+def test_infinite_noise_power_rejected(esn0_db):
+    # -3080 dB has a finite noise power, but the outer demapper's squares overflow there
+    with pytest.raises(ConfigError, match=r"esn0_grid_db entry .* is below the frame floor"):
+        small_config(esn0_grid_db=(0.0, esn0_db))
+    cfg = small_config()
     for run in (run_frame, run_baseline_frame):
-        with pytest.raises(ConfigError, match=r"esn0_db .* gives an infinite noise power"):
+        with pytest.raises(ConfigError, match=r"esn0_db .* is below the frame floor"):
             run(cfg, 0, esn0_db=esn0_db)
+
+
+def test_frames_run_at_the_floor():
+    # warnings are errors, so an overflow in the demappers fails this
+    cfg = small_config(esn0_grid_db=(FRAME_ESN0_MIN_DB,))
+    for fi in range(4):
+        assert run_frame(cfg, fi).esn0_db == FRAME_ESN0_MIN_DB
+        run_baseline_frame(cfg, fi)
 
 
 def test_integer_beyond_float_range_rejected():
     # such an integer has no float value; it is refused, not an OverflowError
     with pytest.raises(ConfigError, match="esn0_grid_db entry"):
         small_config(esn0_grid_db=(-(10**400),))
-    with pytest.raises(ConfigError, match="es must"):
-        small_config(es=10**400)

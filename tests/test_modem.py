@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dmmsim.modem import (
-    Constellation,
+    POINTS,
     demap_inner_llr,
     demap_outer_hard,
     demap_outer_llr,
@@ -29,20 +29,16 @@ SYMBOLS = st.one_of(
     st.just(()), st.tuples(st.integers(1, 6)), st.tuples(st.integers(1, 3), st.integers(1, 6))
 ).flatmap(lambda lead: arrays(np.float64, lead + (2,), elements=COORDS))
 
-ES = st.floats(0.0, 100.0, exclude_min=True)
 SIGMA2 = st.floats(1e-6, 1e3)
 
 
 def test_map_bpsk_values():
-    assert np.array_equal(map_bpsk(0, es=1.0), [1.0, 0.0])
-    assert np.array_equal(map_bpsk(1, es=1.0), [-1.0, 0.0])
-    assert np.array_equal(map_bpsk(0, es=4.0), [2.0, 0.0])
-    with pytest.raises(ValueError):
-        map_bpsk(0, es=0.0)
+    assert np.array_equal(map_bpsk(0), [1.0, 0.0])
+    assert np.array_equal(map_bpsk(1), [-1.0, 0.0])
 
 
 def test_map_bpsk_batch():
-    out = map_bpsk(np.array([0, 1, 1, 0]), es=1.0)
+    out = map_bpsk(np.array([0, 1, 1, 0]))
     assert out.shape == (4, 2)
     assert np.array_equal(out[:, 0], [1.0, -1.0, -1.0, 1.0])
     assert not out[:, 1].any()
@@ -74,27 +70,26 @@ def test_rotate_preserves_energy_exactly():
 
 def test_map_dmm_table():
     # Constellation point 2*v1 + v2 carries inner bit v1 and outer bit v2.
-    a = math.sqrt(2.0)
-    pts = Constellation(2.0).points
-    assert np.array_equal(pts[2 * 0 + 0], [a, 0.0])
-    assert np.array_equal(pts[2 * 0 + 1], [0.0, a])
-    assert np.array_equal(pts[2 * 1 + 0], [-a, 0.0])
-    assert np.array_equal(pts[2 * 1 + 1], [0.0, -a])
+    pts = POINTS
+    assert np.array_equal(pts[2 * 0 + 0], [1.0, 0.0])
+    assert np.array_equal(pts[2 * 0 + 1], [0.0, 1.0])
+    assert np.array_equal(pts[2 * 1 + 0], [-1.0, 0.0])
+    assert np.array_equal(pts[2 * 1 + 1], [0.0, -1.0])
 
 
 def test_map_dmm_matches_rotate_of_bpsk():
-    pts = Constellation(1.0).points
+    pts = POINTS
     for v1 in (0, 1):
         for v2 in (0, 1):
-            assert np.array_equal(rotate_by_bits(map_bpsk(v1, 1.0), v2), pts[2 * v1 + v2])
+            assert np.array_equal(rotate_by_bits(map_bpsk(v1), v2), pts[2 * v1 + v2])
 
 
 def test_roundtrip_derotation_recovers_bpsk_point():
-    pts = Constellation(1.0).points
+    pts = POINTS
     for v1 in (0, 1):
         for v2 in (0, 1):
             y1 = rotate_by_bits(pts[2 * v1 + v2], v2, inverse=True)
-            assert np.array_equal(y1, map_bpsk(v1, 1.0))
+            assert np.array_equal(y1, map_bpsk(v1))
 
 
 def test_rotate_by_bits_matches_scalar_rotate():
@@ -111,110 +106,107 @@ def test_rotate_by_bits_matches_scalar_rotate():
 
 
 def test_constellation_geometry():
-    for es in (1.0, 4.0):
-        cst = Constellation(es)
-        pts = cst.points
-        assert np.array_equal((pts**2).sum(axis=1), [es] * 4)
-        # in-pair (same outer bit): 4*es; adjacent cross-pair: 2*es
-        assert ((pts[0] - pts[2]) ** 2).sum() == 4 * es
-        assert ((pts[1] - pts[3]) ** 2).sum() == 4 * es
-        for i in (0, 2):
-            for j in (1, 3):
-                assert ((pts[i] - pts[j]) ** 2).sum() == 2 * es
+    pts = POINTS
+    assert np.array_equal((pts**2).sum(axis=1), [1.0] * 4)
+    # in-pair (same outer bit): 4; adjacent cross-pair: 2
+    assert ((pts[0] - pts[2]) ** 2).sum() == 4
+    assert ((pts[1] - pts[3]) ** 2).sum() == 4
+    for i in (0, 2):
+        for j in (1, 3):
+            assert ((pts[i] - pts[j]) ** 2).sum() == 2
+    # the one constellation of the package cannot be changed in place
     with pytest.raises(ValueError):
-        Constellation(0.0)
+        pts[0, 0] = 2.0
 
 
 def test_demap_outer_hard_examples():
-    cst = Constellation(1.0)
-    pts = cst.points
+    pts = POINTS
     y = np.array([0.9, 0.1])
     d2 = ((pts - y) ** 2).sum(axis=1)
     assert d2.argmin() == 0
-    assert demap_outer_hard(y, cst) == 0
+    assert demap_outer_hard(y) == 0
     y2 = np.array([-0.1, -1.2])
     d2 = ((pts - y2) ** 2).sum(axis=1)
     assert d2.argmin() == 3
-    assert demap_outer_hard(y2, cst) == 1
-    assert demap_outer_hard(pts[1], cst) == 1
+    assert demap_outer_hard(y2) == 1
+    assert demap_outer_hard(pts[1]) == 1
 
 
 def test_demap_outer_llr_signs_and_zero_diagonal():
-    cst = Constellation(1.0)
-    assert demap_outer_llr(np.array([1.0, 0.0]), cst, 0.5) > 0
-    assert demap_outer_llr(np.array([-1.0, 0.0]), cst, 0.5) > 0
+    assert demap_outer_llr(np.array([1.0, 0.0]), 0.5) > 0
+    assert demap_outer_llr(np.array([-1.0, 0.0]), 0.5) > 0
     for c in (-1.3, -0.2, 0.0, 0.4, 2.0):
-        assert demap_outer_llr(np.array([c, c]), cst, 0.7) == 0.0
+        assert demap_outer_llr(np.array([c, c]), 0.7) == 0.0
 
 
 def test_demap_outer_llr_matches_density_oracle():
-    cst = Constellation(1.0)
     s2 = 0.5
     rng = np.random.default_rng(24)
     ys = np.vstack([rng.normal(size=(30, 2)), [[0.9, 0.1]]])
     for y in ys:
         num = np.logaddexp.reduce(
-            [-((y - cst.points[i]) ** 2).sum() / (2 * s2) for i in (0, 2)]
+            [-((y - POINTS[i]) ** 2).sum() / (2 * s2) for i in (0, 2)]
         )
         den = np.logaddexp.reduce(
-            [-((y - cst.points[i]) ** 2).sum() / (2 * s2) for i in (1, 3)]
+            [-((y - POINTS[i]) ** 2).sum() / (2 * s2) for i in (1, 3)]
         )
         want = num - den
-        got = demap_outer_llr(y, cst, s2)
+        got = demap_outer_llr(y, s2)
         assert abs(got - want) < 1e-12
-    assert demap_outer_llr(np.array([0.9, 0.1]), cst, s2) > 0
+    assert demap_outer_llr(np.array([0.9, 0.1]), s2) > 0
 
 
 def test_demap_outer_hard_soft_consistent():
-    cst = Constellation(1.0)
     rng = np.random.default_rng(25)
     y = rng.normal(scale=1.2, size=(500, 2))
-    llr = demap_outer_llr(y, cst, 0.4)
-    hard = demap_outer_hard(y, cst)
+    llr = demap_outer_llr(y, 0.4)
+    hard = demap_outer_hard(y)
     strong = np.abs(llr) > 1e-12
     assert np.array_equal(llr[strong] < 0, hard[strong].astype(bool))
 
 
 def test_demap_inner_llr():
-    assert demap_inner_llr(np.array([1.0, 0.7]), 1.0, 0.5) == pytest.approx(4.0)
-    assert demap_inner_llr(np.array([0.0, -3.0]), 1.0, 0.5) == 0.0
-    assert demap_inner_llr(np.array([-0.8, -0.1]), 1.0, 0.5) == pytest.approx(-3.2)
+    assert demap_inner_llr(np.array([1.0, 0.7]), 0.5) == pytest.approx(4.0)
+    assert demap_inner_llr(np.array([0.0, -3.0]), 0.5) == 0.0
+    assert demap_inner_llr(np.array([-0.8, -0.1]), 0.5) == pytest.approx(-3.2)
     # density-ratio oracle: same closed form
-    got = demap_inner_llr(np.array([-0.8, -0.1]), 1.0, 0.5)
+    got = demap_inner_llr(np.array([-0.8, -0.1]), 0.5)
     assert got == pytest.approx(bpsk_llr_density(-0.8, 1.0, 0.5), abs=1e-12)
-    with pytest.raises(ValueError):
-        demap_inner_llr(np.array([0.1, 0.2]), 1.0, 0.0)
+    # a zero or NaN noise variance is refused by both demappers
+    for s2 in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            demap_inner_llr(np.array([0.1, 0.2]), s2)
+        with pytest.raises(ValueError):
+            demap_outer_llr(np.array([0.1, 0.2]), s2)
 
 
 def test_demap_inner_llr_odd_symmetry():
     rng = np.random.default_rng(26)
     r = rng.normal(size=50)
-    pos = demap_inner_llr(np.stack([r, np.zeros(50)], axis=-1), 1.3, 0.7)
-    neg = demap_inner_llr(np.stack([-r, np.zeros(50)], axis=-1), 1.3, 0.7)
+    pos = demap_inner_llr(np.stack([r, np.zeros(50)], axis=-1), 0.7)
+    neg = demap_inner_llr(np.stack([-r, np.zeros(50)], axis=-1), 0.7)
     assert np.array_equal(pos, -neg)
 
 
 @settings(max_examples=400, deadline=None)
-@given(y=SYMBOLS, es=ES, sigma2_dim=SIGMA2)
-def test_demap_outer_llr_matches_reference_bytes(y, es, sigma2_dim):
-    cst = Constellation(es)
-    got = demap_outer_llr(y, cst, sigma2_dim)
-    want = demap_outer_llr_reference(y, cst, sigma2_dim)
+@given(y=SYMBOLS, sigma2_dim=SIGMA2)
+def test_demap_outer_llr_matches_reference_bytes(y, sigma2_dim):
+    got = demap_outer_llr(y, sigma2_dim)
+    want = demap_outer_llr_reference(y, sigma2_dim)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want) == y.shape[:-1]
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(y=SYMBOLS, es=ES, sigma2_dim=SIGMA2)
-def test_demapper_symmetries_exact(y, es, sigma2_dim):
-    cst = Constellation(es)
-    llr = demap_outer_llr(y, cst, sigma2_dim)
+@given(y=SYMBOLS, sigma2_dim=SIGMA2)
+def test_demapper_symmetries_exact(y, sigma2_dim):
+    llr = demap_outer_llr(y, sigma2_dim)
     # negating a symbol keeps its rotation; a quarter turn swaps the rotation pairs
-    assert np.array_equal(demap_outer_llr(-y, cst, sigma2_dim), llr)
-    assert np.array_equal(demap_outer_llr(rotate_by_bits(y, 1), cst, sigma2_dim), -llr)
-    inner = demap_inner_llr(y, es, sigma2_dim)
-    assert np.array_equal(demap_inner_llr(-y, es, sigma2_dim), -inner)
+    assert np.array_equal(demap_outer_llr(-y, sigma2_dim), llr)
+    assert np.array_equal(demap_outer_llr(rotate_by_bits(y, 1), sigma2_dim), -llr)
+    inner = demap_inner_llr(y, sigma2_dim)
+    assert np.array_equal(demap_inner_llr(-y, sigma2_dim), -inner)
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,7 +14,7 @@ from dmmsim import cli, config, simkit
 from dmmsim.channel import ChannelParams, ebn0_from_esn0
 from dmmsim.ldpc import LdpcCode, RepetitionCode, encode, rep_combine
 from dmmsim.modem import (
-    Constellation,
+    POINTS,
     demap_inner_llr,
     demap_outer_llr,
     map_bpsk,
@@ -73,8 +73,6 @@ def test_config_invariants():
     for field, value in [
         ("max_iter", 2.5),
         ("max_iter", True),
-        ("es", math.nan),
-        ("es", math.inf),
         ("seed", -1),
         ("seed", 2**64),
         ("esn0_grid_db", (True,)),
@@ -123,13 +121,13 @@ def test_genie_equivalence_llr_bit_identical():
     # Derotating the received sequence by the true rotation bits recovers
     # the BPSK baseline's received sequence and inner LLRs bit for bit.
     cfg = small_config()
-    s2d = ChannelParams.from_esn0_db(cfg.es, -2.0).sigma2_dim
+    s2d = ChannelParams.from_esn0_db(-2.0).sigma2_dim
     for fi in range(30):
         t = run_frame(cfg, fi, esn0_db=-2.0)
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
         assert y1.tobytes() == b.received.tobytes()
-        assert demap_inner_llr(y1, cfg.es, s2d).tobytes() == b.llr_inner.tobytes()
+        assert demap_inner_llr(y1, s2d).tobytes() == b.llr_inner.tobytes()
         assert np.array_equal(t.c1, b.c1)
 
 
@@ -139,19 +137,18 @@ def test_received_sequence_used_twice():
     # recorded decoder inputs exactly.
     cfg = small_config()
     t = run_frame(cfg, 3, esn0_db=-1.0)
-    s2d = ChannelParams.from_esn0_db(cfg.es, -1.0).sigma2_dim
-    cst = Constellation(cfg.es)
-    again_outer = rep_combine(cfg.outer, demap_outer_llr(t.received, cst, s2d))
+    s2d = ChannelParams.from_esn0_db(-1.0).sigma2_dim
+    again_outer = rep_combine(cfg.outer, demap_outer_llr(t.received, s2d))
     assert np.array_equal(again_outer, t.llr_outer)
     y1 = rotate_by_bits(t.received, t.v2_hat, inverse=True)
-    again_inner = demap_inner_llr(y1, cfg.es, s2d)
+    again_inner = demap_inner_llr(y1, s2d)
     assert np.array_equal(again_inner, t.llr_inner)
 
 
 def test_symbols_follow_mapping():
     cfg = small_config(esn0_grid_db=(math.inf,))
     t = run_frame(cfg, 1)
-    pts = Constellation(cfg.es).points
+    pts = POINTS
     want = np.array([pts[2 * int(a) + int(b)] for a, b in zip(t.v1, t.v2)])
     assert np.array_equal(t.received, want)  # noiseless
 
@@ -176,15 +173,14 @@ def test_seed_isolation_noise_independent_of_outer_stream():
 def test_wrong_beta_lands_on_imaginary_axis():
     # One outer bit error makes the derotated symbol land on the
     # imaginary axis, so the inner LLR for that symbol is exactly 0.
-    es = 1.0
-    y_true_beta0 = Constellation(es).points[0]  # (+1, 0): v1 = 0, v2 = 0
+    y_true_beta0 = POINTS[0]  # (+1, 0): v1 = 0, v2 = 0
     wrongly_derotated = rotate_by_bits(y_true_beta0, 1, inverse=True)
     assert np.array_equal(wrongly_derotated, [0.0, -1.0])
-    assert demap_inner_llr(wrongly_derotated, es, 0.5) == 0.0
-    y_true_beta1 = Constellation(es).points[1]  # (0, +1): v1 = 0, v2 = 1
+    assert demap_inner_llr(wrongly_derotated, 0.5) == 0.0
+    y_true_beta1 = POINTS[1]  # (0, +1): v1 = 0, v2 = 1
     not_derotated = rotate_by_bits(y_true_beta1, 0, inverse=True)
     assert np.array_equal(not_derotated, [0.0, 1.0])
-    assert demap_inner_llr(not_derotated, es, 0.5) == 0.0
+    assert demap_inner_llr(not_derotated, 0.5) == 0.0
 
 
 def test_sweep_accounting_and_ebn0():
@@ -312,7 +308,7 @@ def test_baseline_matches_genie_inner_branch():
     assert base.eta == pytest.approx(0.5)
     assert base.mode == "baseline"
     pb = base.points[0]
-    params = ChannelParams.from_esn0_db(cfg.es, -2.0)
+    params = ChannelParams.from_esn0_db(-2.0)
     # frame-by-frame: baseline decode equals the genie-derotated decode
     for fi in range(5):
         t = run_frame(cfg, fi, esn0_db=-2.0)
@@ -326,7 +322,7 @@ def test_baseline_matches_genie_inner_branch():
         assert b.c2 is None and b.v2_hat is None and b.iters_outer is None
     # and sends unrotated BPSK
     b = run_baseline_frame(cfg, 0, esn0_db=math.inf)
-    assert np.array_equal(b.received, map_bpsk(b.v1, cfg.es))
+    assert np.array_equal(b.received, map_bpsk(b.v1))
     assert pb.bits_outer == 0
     assert pb.ber_outer == 0.0
     assert pb.ebn0_db == ebn0_from_esn0(-2.0, 0.5)
@@ -494,7 +490,6 @@ def test_manifest_contents(tmp_path):
 GOOD_CONFIG = {
     "inner_code": {"n": 96, "row_degree": 6, "col_degree": 3, "seed": 5},
     "outer_code": {"base": {"n": 24, "row_degree": 6, "col_degree": 4, "seed": 8}, "rep_factor": 4},
-    "es": 1.0,
     "esn0_grid_db": [-2.0, 0.0],
     "max_iter": 30,
     "stop": {"min_frame_errors": 5, "max_frames": 64},
@@ -571,6 +566,7 @@ def test_load_config_field_errors(tmp_path):
         # receiver options that no longer exist are unknown, not ignored
         ({**GOOD_CONFIG, "genie_beta": False}, "unknown config fields: ['genie_beta']"),
         ({**GOOD_CONFIG, "outer_rebuild": "reencode"}, "unknown config fields: ['outer_rebuild']"),
+        ({**GOOD_CONFIG, "es": 1.0}, "unknown config fields: ['es']"),
         ({**GOOD_CONFIG, "inner_code": {"n": 96}}, "inner_code"),
         ({**GOOD_CONFIG, "inner_code": {"alist": "missing.alist"}}, "alist"),
         ({**GOOD_CONFIG, "outer_code": {"base": GOOD_CONFIG["outer_code"]["base"], "rep_factor": 0}}, "rep_factor"),
@@ -584,7 +580,6 @@ def test_load_config_field_errors(tmp_path):
         ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "col_degree": True}}, "inner_code.col_degree"),
         ({**GOOD_CONFIG, "inner_code": {**GOOD_CONFIG["inner_code"], "seed": False}}, "inner_code.seed"),
         ({**GOOD_CONFIG, "outer_code": {"base": GOOD_CONFIG["outer_code"]["base"], "rep_factor": True}}, "rep_factor"),
-        ({**GOOD_CONFIG, "es": True}, "es must"),
         ({**GOOD_CONFIG, "esn0_grid_db": [True]}, "esn0_grid_db"),
         # out of range or of the wrong kind
         ({**GOOD_CONFIG, "seed": -1}, "seed"),
