@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import noise_var
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,6 @@ def _mi_point(esn0_db, mi):
     return MiPoint(esn0_db, mi, ebn0)
 
 
-# Per-dimension noise standard deviation below which the channel is
-# noiseless: BPSK carries 1 bit and QPSK 2.
-_SIG_NOISELESS = 1e-6
-
-
 # Largest per-dimension noise standard deviation at which mi_bpsk's
 # integrand is evaluated: it squares (y -+ 1) over y in +-(1 + 12 sigma),
 # which must stay a finite float. Past it, below about -3063 dB, the
@@ -52,26 +47,18 @@ _SIG_NOISELESS = 1e-6
 _SIG_MAX_BPSK = math.sqrt(sys.float_info.max) / 13.0
 
 
-def _noise_var(esn0_db):
-    """Per-dimension noise variance at the given Es/N0 (dB), +inf at
-    -inf dB, the zero-SNR limit, and wherever the variance overflows a
-    float (below about -3082.5 dB). NaN is not an Es/N0 and raises."""
-    if math.isnan(esn0_db):
-        raise ValueError(f"esn0_db must not be NaN, got {esn0_db!r}")
-    return ChannelParams.from_esn0_db(esn0_db).sigma2_dim
-
-
 def mi_bpsk(esn0_db):
     """Mutual information of equiprobable BPSK at the given Es/N0 (dB).
 
     I = H(Y) - H(N) with Y an equiprobable two-Gaussian mixture on the
     real line; H(Y) by adaptive quadrature over +-12 standard
-    deviations (absolute tolerance well under 1e-9). Once the noise
-    standard deviation falls below _SIG_NOISELESS (about 117 dB,
-    inside the band from 73 dB up where the quadrature gives exactly 1.0)
-    the channel carries the full 1 bit without quadrature: further up the
-    integrand is two spikes that ``quad`` cannot resolve, so it warns and,
-    above about 324 dB, falls short of 1. Es/N0 = +inf is such a channel;
+    deviations (absolute tolerance well under 1e-9). Where
+    ``noise_var`` reads 0, its standard deviation below the noiseless
+    threshold (about 117 dB, inside the band from 73 dB up where the
+    quadrature gives exactly 1.0), the channel carries the full 1 bit
+    without quadrature: further up the integrand is two spikes that
+    ``quad`` cannot resolve, so it warns and, above about 324 dB, falls
+    short of 1. Es/N0 = +inf is such a channel;
     Es/N0 = -inf carries 0 bits, and so, to within 1e-300 bits, does any
     Es/N0 whose noise standard deviation exceeds _SIG_MAX_BPSK (below
     about -3063 dB), where the integrand would overflow.
@@ -81,12 +68,12 @@ def mi_bpsk(esn0_db):
     """
     from scipy.integrate import quad
 
-    s2 = _noise_var(esn0_db)
+    s2 = noise_var(esn0_db)
+    if s2 == 0.0:
+        return _mi_point(esn0_db, 1.0)
     sig = math.sqrt(s2)
     if sig > _SIG_MAX_BPSK:
         return _mi_point(esn0_db, 0.0)
-    if sig < _SIG_NOISELESS:
-        return _mi_point(esn0_db, 1.0)
     norm = 0.5 / math.sqrt(2.0 * math.pi * s2)
 
     def neg_flog2f(y):
@@ -138,19 +125,19 @@ def mi_qpsk(esn0_db):
     F = norm * h h', so H(Y) = -4 norm sigma^2 u' log2(F) u with
     u = weights * h. The log is taken of the 2-D density, not split into
     per-axis terms, so the I/Q doubling identity against ``mi_bpsk``
-    stays a check between two integration routes. Once sigma falls below
-    _SIG_NOISELESS the channel carries the full 2 bits without quadrature;
-    at Es/N0 = -inf it carries 0 bits.
+    stays a check between two integration routes. Where ``noise_var``
+    reads 0, below its noiseless threshold, the channel carries the full
+    2 bits without quadrature; at Es/N0 = -inf it carries 0 bits.
 
     Raises:
         ValueError: if esn0_db is NaN.
     """
-    s2 = _noise_var(esn0_db)
+    s2 = noise_var(esn0_db)
     if s2 == math.inf:
         return _mi_point(esn0_db, 0.0)
-    sig = math.sqrt(s2)
-    if sig < _SIG_NOISELESS:
+    if s2 == 0.0:
         return _mi_point(esn0_db, 2.0)
+    sig = math.sqrt(s2)
     a = 1.0 / math.sqrt(2.0)
     lo = -min(a / sig, 12.0)
     z, wts = _panel_nodes(lo, 12.0, math.ceil(12.0 - lo))

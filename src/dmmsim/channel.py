@@ -2,76 +2,62 @@
 
 Symbol energy is 1, so Es/N0 is 1 / sigma2_total with sigma2_total the
 TOTAL complex noise power, and each dimension sees variance
-sigma2_total / 2.
-Noise generation is counter-based (Philox keyed by seed and stream id)
-with ziggurat normals, so any (seed, stream_id) pair reproduces its
-sequence independently of every other stream.
+sigma2_total / 2; ``noise_var`` is the one place that turns an Es/N0
+into that variance, for frames and for the capacity layer alike.
+Randomness is counter-based: ``philox`` keys a Philox generator by
+(seed, stream id), so any pair reproduces its sequence independently of
+every other stream, for frame bits, frame noise and code construction.
+Noise uses numpy's ziggurat normals.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Noise power at unit symbol energy; sigma2_total = 0 means noiseless."""
-
-    sigma2_total: float
-
-    def __post_init__(self):
-        # written as what must hold, so that NaN fails the check
-        if not self.sigma2_total >= 0:
-            raise ValueError("sigma2_total must be non-negative")
-
-    @property
-    def sigma2_dim(self):
-        return self.sigma2_total / 2.0
-
-    @property
-    def esn0_db(self):
-        if self.sigma2_total == 0:
-            return math.inf
-        return 10.0 * math.log10(1.0 / self.sigma2_total)
-
-    @classmethod
-    def from_esn0_db(cls, esn0_db):
-        """The channel at Es/N0 (dB); its noise power is +inf where it overflows, as at -inf dB."""
-        try:
-            sigma2_total = 10.0 ** (-esn0_db / 10.0)
-        except OverflowError:
-            sigma2_total = math.inf
-        return cls(sigma2_total=sigma2_total)
+# Per-dimension noise standard deviation below which the channel is
+# noiseless (about 117 dB Es/N0): frames skip the noise and demap by
+# hard decisions, and the capacity layer reports its full bits.
+_SIG_NOISELESS = 1e-6
 
 
-@dataclass(frozen=True)
-class SeededRng:
-    """Handle for one reproducible noise stream."""
+def noise_var(esn0_db):
+    """Per-dimension noise variance at Es/N0 (dB): half the total noise
+    power 10**(-esn0_db/10). It is +inf at -inf dB, the zero-SNR limit,
+    and wherever the power overflows a float (below about -3082.5 dB);
+    it is exactly 0.0 once its standard deviation falls below
+    _SIG_NOISELESS, +inf dB included.
 
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v < 2**64:
-                raise ValueError(f"{name} must be an integer in [0, 2**64)")
-
-    def generator(self):
-        # as a list, a seed of 2**63 or more makes numpy round the key through float64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+    Raises:
+        ValueError: if esn0_db is NaN.
+    """
+    if math.isnan(esn0_db):
+        raise ValueError(f"esn0_db must not be NaN, got {esn0_db!r}")
+    try:
+        sigma2_total = 10.0 ** (-esn0_db / 10.0)
+    except OverflowError:
+        sigma2_total = math.inf
+    sigma2_dim = sigma2_total / 2.0
+    return 0.0 if math.sqrt(sigma2_dim) < _SIG_NOISELESS else sigma2_dim
 
 
-def add_noise(symbols, params, rng):
+def philox(seed, stream_id=0):
+    """The reproducible generator of one (seed, stream_id) pair."""
+    for name, v in (("seed", seed), ("stream_id", stream_id)):
+        if not isinstance(v, int) or not 0 <= v < 2**64:
+            raise ValueError(f"{name} must be an integer in [0, 2**64)")
+    # as a list, a seed of 2**63 or more makes numpy round the key through float64
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def add_noise(symbols, sigma2_dim, rng):
     """y = s + n with independent per-dimension Gaussian components of
-    variance params.sigma2_dim; zero variance returns an exact copy."""
+    variance sigma2_dim, drawn from the generator rng; zero variance
+    returns an exact copy and draws nothing."""
     symbols = np.asarray(symbols, dtype=np.float64)
-    if params.sigma2_dim == 0:
+    if sigma2_dim == 0:
         return symbols.copy()
-    g = rng.generator()
-    return symbols + g.standard_normal(symbols.shape) * math.sqrt(params.sigma2_dim)
+    return symbols + rng.standard_normal(symbols.shape) * math.sqrt(sigma2_dim)
 
 
 def ebn0_from_esn0(esn0_db, eta):

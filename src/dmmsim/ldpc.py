@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
+from .channel import philox
 
 # Magnitude cap applied to every LLR entering or produced by the decoder.
 LLR_CAP = 30.0
@@ -29,7 +30,8 @@ MAX_EDGES = 1 << 20
 # Generator bits assembled unpacked at a time by derive_generator.
 _GEN_BLOCK = 1 << 20
 
-# Stream id for code construction, outside the per-frame id range.
+# Philox stream id of code construction; a per-frame id (simkit) reaches
+# it only at frame index 2**61.
 _CODEGEN_STREAM = 2**63
 
 
@@ -283,10 +285,12 @@ class LdpcCode:
         """Seeded pseudo-random regular code via socket permutation.
 
         (n_code, row_degree, col_degree, seed) fully determines the
-        matrix. Duplicate sockets are swapped apart. If the regular
-        graph is rank-deficient, single rows are redrawn with fresh
-        columns until the matrix reaches full row rank, so a few columns
-        may deviate from col_degree by one or two. A graph whose column
+        matrix: every draw comes from ``channel.philox(seed,
+        _CODEGEN_STREAM)``, keyed as the frames' streams are. Duplicate
+        sockets are swapped apart. If the regular graph is rank-deficient,
+        single rows are redrawn with fresh columns until the matrix
+        reaches full row rank, so a few columns may deviate from
+        col_degree by one or two. A graph whose column
         degrees are all even is rank-deficient (its rows sum to zero), so
         it goes straight to the redraw without being built or
         row-reduced; this is always so for an even col_degree at first.
@@ -298,8 +302,8 @@ class LdpcCode:
             raise CodeConstructionError(
                 f"n_code*col_degree={n_code * col_degree} exceeds MAX_EDGES={MAX_EDGES}"
             )
-        if not 0 <= seed < 2**64:
-            raise CodeConstructionError("seed must lie in [0, 2**64)")
+        if not (isinstance(seed, int) and 0 <= seed < 2**64):
+            raise CodeConstructionError("seed must be an integer in [0, 2**64)")
         if (n_code * col_degree) % row_degree != 0:
             raise CodeConstructionError(
                 f"n_code*col_degree={n_code * col_degree} not divisible by row_degree={row_degree}"
@@ -309,7 +313,7 @@ class LdpcCode:
             raise CodeConstructionError(f"n_checks={m} must lie in (0, n_code)")
         if row_degree > n_code:
             raise CodeConstructionError("row_degree exceeds n_code")
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, _CODEGEN_STREAM], dtype=np.uint64)))
+        rng = philox(seed, _CODEGEN_STREAM)
         cols = np.repeat(np.arange(n_code, dtype=np.int64), col_degree)
         rows = rng.permutation(np.repeat(np.arange(m, dtype=np.int64), row_degree))
         n_edges = rows.size

@@ -7,12 +7,14 @@ uses it twice: demap and decode the outer stream, rebuild its code
 bits, derotate, then demap and decode the inner stream.
 
 Per-frame reproducibility: every frame derives three Philox streams
-(inner bits, outer bits, noise) from (seed, frame_index), so results
-are independent of scheduling. Frame noise is drawn in the derotated
-(BPSK) frame and rotated together with the symbol; the channel
-distribution is unchanged (isotropic Gaussian is rotation-invariant)
-and exact genie derotation recovers the BPSK-baseline received sequence
-bit-for-bit.
+(inner bits, outer bits, noise) from (seed, frame_index) through
+``channel.philox``, so results are independent of scheduling. Frame
+noise is drawn in the derotated (BPSK) frame and rotated together with
+the symbol; the channel distribution is unchanged (isotropic Gaussian is
+rotation-invariant) and exact genie derotation recovers the
+BPSK-baseline received sequence bit-for-bit. The noise variance is
+``channel.noise_var``'s: where it reads 0, from about 117 dB, a frame
+draws no noise and both stages demap by hard decisions.
 
 Sweeps process frames in fixed-size batches; the stopping rule is
 evaluated only at batch boundaries, in batch order, so output is
@@ -25,9 +27,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
+from .channel import add_noise, ebn0_from_esn0, noise_var, philox
 # load_config is re-exported: the traced benchmark (perfbench/spans.py) binds simkit.load_config
-from .config import ConfigError, _check_esn0, check_workers, load_config
+from .config import ConfigError, _check_esn0, _is_int, check_workers, load_config
 from .ldpc import (
     LLR_CAP,
     decode_bp_full,
@@ -43,15 +45,16 @@ from .modem import (
     rotate_by_bits,
 )
 
-# Per-frame stream domains; frame i uses stream ids (i << 2) | domain.
+# Per-frame stream domains; frame i uses stream ids (i << 2) | domain,
+# which stay below 2**64 for every frame index below 2**62.
 DOMAIN_INNER_BITS = 0
 DOMAIN_OUTER_BITS = 1
 DOMAIN_NOISE = 2
 
 
 def frame_stream(seed, frame_index, domain):
-    """Independent reproducible stream for one frame and purpose."""
-    return SeededRng(seed, (frame_index << 2) | domain)
+    """The generator of one frame and purpose."""
+    return philox(seed, (frame_index << 2) | domain)
 
 
 @dataclass
@@ -79,6 +82,11 @@ class FrameTrace:
     converged_outer: bool = None
 
 
+def _check_frame_index(frame_index):
+    if not (_is_int(frame_index) and 0 <= frame_index < 2**62):
+        raise ConfigError(f"frame_index must be an integer in [0, 2**62), got {frame_index!r}")
+
+
 def _resolve_esn0(cfg, esn0_db):
     if esn0_db is not None:
         return _check_esn0(esn0_db, "esn0_db", frame=True)
@@ -88,31 +96,31 @@ def _resolve_esn0(cfg, esn0_db):
 
 
 def _frame_bits(cfg, frame_index, domain, k):
-    return frame_stream(cfg.seed, frame_index, domain).generator().integers(0, 2, k, dtype=np.uint8)
+    return frame_stream(cfg.seed, frame_index, domain).integers(0, 2, k, dtype=np.uint8)
 
 
 def _bpsk_front_end(cfg, frame_index, esn0_db):
     """A frame's inner bits, codeword and received BPSK sequence;
     the one place where its inner bits and noise are drawn."""
-    params = ChannelParams.from_esn0_db(esn0_db)
+    sigma2_dim = noise_var(esn0_db)
     c1 = _frame_bits(cfg, frame_index, DOMAIN_INNER_BITS, cfg.inner.k_info)
     v1 = encode(cfg.inner, c1)
-    y1 = add_noise(map_bpsk(v1), params, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
-    return params, c1, v1, y1
+    y1 = add_noise(map_bpsk(v1), sigma2_dim, frame_stream(cfg.seed, frame_index, DOMAIN_NOISE))
+    return sigma2_dim, c1, v1, y1
 
 
 def _dmm_front_end(cfg, frame_index, esn0_db):
     """The BPSK frame with its observation rotated by the outer code bits."""
-    params, c1, v1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
+    sigma2_dim, c1, v1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
     c2 = _frame_bits(cfg, frame_index, DOMAIN_OUTER_BITS, cfg.outer.k_info)
     v2 = rep_encode(cfg.outer, c2)
     y = rotate_by_bits(y1, v2)
-    return params, c1, v1, c2, v2, y
+    return sigma2_dim, c1, v1, c2, v2, y
 
 
-def _outer_stage(cfg, y, params):
-    if params.sigma2_dim > 0:
-        llr_sym = demap_outer_llr(y, params.sigma2_dim)
+def _outer_stage(cfg, y, sigma2_dim):
+    if sigma2_dim > 0:
+        llr_sym = demap_outer_llr(y, sigma2_dim)
     else:
         llr_sym = (1.0 - 2.0 * demap_outer_hard(y)) * LLR_CAP
     llr_outer = rep_combine(cfg.outer, llr_sym)
@@ -125,10 +133,10 @@ def _outer_stage(cfg, y, params):
     return llr_outer, c2_hat, v2_hat, iters, conv
 
 
-def _inner_receive(cfg, y1, params):
+def _inner_receive(cfg, y1, sigma2_dim):
     """Demap and decode the inner stream of an already derotated sequence."""
-    if params.sigma2_dim > 0:
-        llr_inner = demap_inner_llr(y1, params.sigma2_dim)
+    if sigma2_dim > 0:
+        llr_inner = demap_inner_llr(y1, sigma2_dim)
     else:
         llr_inner = np.sign(y1[..., 0]) * LLR_CAP
     hard, _post, iters, conv = decode_bp_full(cfg.inner, llr_inner, cfg.max_iter)
@@ -143,10 +151,11 @@ def run_frame(cfg, frame_index, esn0_db=None):
     ``v2_hat`` are rebuilt, and the inner stream is decoded after
     derotating by them.
     """
+    _check_frame_index(frame_index)
     esn0_db = _resolve_esn0(cfg, esn0_db)
-    params, c1, v1, c2, v2, y = _dmm_front_end(cfg, frame_index, esn0_db)
-    llr_outer, c2_hat, v2_hat, it2, conv2 = _outer_stage(cfg, y, params)
-    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), params)
+    sigma2_dim, c1, v1, c2, v2, y = _dmm_front_end(cfg, frame_index, esn0_db)
+    llr_outer, c2_hat, v2_hat, it2, conv2 = _outer_stage(cfg, y, sigma2_dim)
+    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), sigma2_dim)
     return FrameTrace(
         frame_index=frame_index,
         esn0_db=esn0_db,
@@ -171,9 +180,10 @@ def run_baseline_frame(cfg, frame_index, esn0_db=None):
     """Conventional BPSK with the inner code only, on the same bit and
     noise streams as run_frame; the received sequence equals run_frame's
     received sequence derotated by the true rotation bits, bit-for-bit."""
+    _check_frame_index(frame_index)
     esn0_db = _resolve_esn0(cfg, esn0_db)
-    params, c1, v1, y = _bpsk_front_end(cfg, frame_index, esn0_db)
-    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y, params)
+    sigma2_dim, c1, v1, y = _bpsk_front_end(cfg, frame_index, esn0_db)
+    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y, sigma2_dim)
     return FrameTrace(
         frame_index=frame_index,
         esn0_db=esn0_db,
@@ -336,8 +346,7 @@ def _pair_frame(cfg, frame_index, esn0_db, affected, genie):
     affected.add_frame(t)
     if not np.array_equal(t.v2_hat, t.v2):
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
-        params = ChannelParams.from_esn0_db(t.esn0_db)
-        llr_inner, c1_hat, iters, conv = _inner_receive(cfg, y1, params)
+        llr_inner, c1_hat, iters, conv = _inner_receive(cfg, y1, noise_var(esn0_db))
         t = replace(t, llr_inner=llr_inner, c1_hat=c1_hat, iters_inner=iters, converged_inner=conv)
     genie.add_frame(t)
 

@@ -165,6 +165,19 @@ def exact_bit_posteriors(g_dense, llr):
     return p1
 
 
+def sigma2_dim_reference(esn0_db):
+    """Per-dimension noise variance at Es/N0 (dB) as the former
+    ``ChannelParams.from_esn0_db(esn0_db).sigma2_dim`` computed it, with
+    no noiseless threshold; NaN fails the former constructor's check."""
+    try:
+        sigma2_total = 10.0 ** (-esn0_db / 10.0)
+    except OverflowError:
+        sigma2_total = math.inf
+    if not sigma2_total >= 0:
+        raise ValueError("sigma2_total must be non-negative")
+    return sigma2_total / 2.0
+
+
 def gaussian_logpdf(x, mu, var):
     return -0.5 * np.log(2 * np.pi * var) - (np.asarray(x) - mu) ** 2 / (2 * var)
 

@@ -17,7 +17,7 @@ import pytest
 from oracles import exact_bit_posteriors, g_dense, TREE_H
 
 from dmmsim.capacity import esn0_at_mi, mi_bpsk, mi_qpsk, rate_bound_outer
-from dmmsim.channel import ChannelParams, SeededRng, add_noise, ebn0_from_esn0
+from dmmsim.channel import add_noise, ebn0_from_esn0, noise_var, philox
 from dmmsim.ldpc import LdpcCode, decode_bp_full, encode, rep_combine
 from dmmsim.modem import POINTS, demap_inner_llr, rotate_by_bits
 from dmmsim.config import load_config
@@ -68,7 +68,7 @@ def test_mi_engine(capsys):
 
 def test_genie_llr_identity(desk_cfg, capsys):
     # derotating by the true rotation bits is the genie branch
-    s2d = ChannelParams.from_esn0_db(-1.0).sigma2_dim
+    s2d = noise_var(-1.0)
     n_frames = 100
     same = 0
     for fi in range(n_frames):
@@ -187,10 +187,10 @@ def test_codec_suite(desk_cfg, capsys):
     rep_ok = np.array_equal(comb, llr.reshape(-1, desk_cfg.outer.rep_factor).sum(axis=1))
 
     # noise calibration: per-dimension variance within 3 sigma at 1e6 samples
-    params = ChannelParams(sigma2_total=0.8)
-    n = add_noise(np.zeros((500_000, 2)), params, SeededRng(4, 4)).ravel()
-    se = params.sigma2_dim * math.sqrt(2.0 / (n.size - 1))
-    noise_ok = abs(n.var(ddof=1) - params.sigma2_dim) <= 3.0 * se
+    sigma2_dim = 0.4
+    n = add_noise(np.zeros((500_000, 2)), sigma2_dim, philox(4, 4)).ravel()
+    se = sigma2_dim * math.sqrt(2.0 / (n.size - 1))
+    noise_ok = abs(n.var(ddof=1) - sigma2_dim) <= 3.0 * se
 
     ok = syndromes_ok and linear_ok and bp_ml_ok and rep_ok and noise_ok
     report(

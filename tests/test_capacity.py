@@ -157,12 +157,6 @@ def test_mi_far_below_float_range_is_zero_without_warnings(fn, esn0_db):
     assert p.ebn0_db == math.inf
 
 
-def test_noise_var_overflow_is_the_zero_snr_limit():
-    assert capacity._noise_var(-3082.0) < math.inf
-    assert capacity._noise_var(-3083.0) == math.inf
-    assert capacity._noise_var(-math.inf) == math.inf
-
-
 @pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
 def test_mi_rejects_nan_without_warnings(fn):
     with warnings.catch_warnings():

@@ -373,6 +373,24 @@ def test_high_ber_is_not_an_error(cfg_path, tmp_path):
     assert float(lines[1].split(",")[4]) > 0.1  # ber_combined
 
 
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["ber-sweep"], "dmm_sweep.csv"),
+        (["ber-sweep", "--baseline", "bpsk"], "bpsk_baseline.csv"),
+        (["genie-compare"], "genie_compare.csv"),
+    ],
+    ids=["ber-sweep", "bpsk-baseline", "genie-compare"],
+)
+def test_frames_far_above_the_noiseless_threshold_exit_0(cfg_path, tmp_path, capsys, argv, csv):
+    # a subnormal noise variance is noiseless, so +3100 dB counts what +inf does
+    rc = main([argv[0], str(cfg_path), *argv[1:], "--grid=3100,inf", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "error" not in capsys.readouterr().err
+    _header, at_3100, at_inf = (tmp_path / csv).read_text().splitlines()
+    assert at_3100.split(",")[2:] == at_inf.split(",")[2:]
+
+
 def test_rate_bound_output(capsys):
     assert main(["rate-bound", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,10 @@
 """The package's modules import each other one way: the primitives (gf2,
-ldpc, modem, channel, capacity) import none of the layers above them;
-config imports primitives only; simkit imports config but neither results
-nor cli; results does not import cli. Read from the source with ``ast``,
-because importing dmmsim loads every module."""
+ldpc, modem, channel, capacity) import none of the layers above them, and
+among themselves gf2, modem and channel import no dmmsim module, ldpc
+only gf2 and channel, capacity only channel; config imports primitives
+only; simkit imports config but neither results nor cli; results does
+not import cli. Read from the source with ``ast``, because importing
+dmmsim loads every module."""
 
 import ast
 from pathlib import Path
@@ -34,6 +36,17 @@ def test_imports_are_seen():
     assert package_imports("cli") >= {"capacity", "config", "results", "simkit"}
     assert package_imports("simkit") >= {"config", "ldpc", "modem"}
     assert package_imports("results") >= {"config", "simkit"}
+    assert package_imports("ldpc") >= {"gf2", "channel"}
+    assert package_imports("capacity") >= {"channel"}
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [("gf2", set()), ("modem", set()), ("channel", set()), ("ldpc", {"gf2", "channel"}), ("capacity", {"channel"})],
+)
+def test_primitive_layer(module, allowed):
+    # channel, the bottom layer, holds the noise formula and the Philox key for all of them
+    assert package_imports(module) <= allowed
 
 
 def test_config_imports_primitives_only():

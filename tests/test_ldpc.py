@@ -594,7 +594,7 @@ def test_random_regular_validation():
         LdpcCode.random_regular(10, 6, 4, seed=0)  # 40 % 6 != 0
     with pytest.raises(CodeConstructionError):
         LdpcCode.random_regular(12, 3, 3, seed=0)  # m == n, no info bits
-    for seed in (-1, 2**64):  # outside the Philox key range
+    for seed in (-1, 2**64, 1.5):  # outside the Philox key range, or not an integer
         with pytest.raises(CodeConstructionError, match="seed"):
             LdpcCode.random_regular(96, 6, 3, seed=seed)
     # every seed in range is its own key, beyond float64 precision too

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dmmsim import cli, config, simkit
-from dmmsim.channel import ChannelParams, ebn0_from_esn0
+from dmmsim.channel import ebn0_from_esn0, noise_var
 from dmmsim.ldpc import LdpcCode, RepetitionCode, encode, rep_combine
 from dmmsim.modem import (
     POINTS,
@@ -91,6 +91,43 @@ def test_noiseless_roundtrip():
         assert t.converged_inner and t.converged_outer
 
 
+def _counters(p):
+    """The counters of a point, one list per branch of a paired point."""
+    branches = (p.affected, p.genie) if isinstance(p, GeniePoint) else (p,)
+    return [[getattr(b, f.name) for f in fields(SweepPoint)[2:]] for b in branches]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sweep", [run_sweep, run_bpsk_baseline, run_genie_compare])
+def test_frames_above_the_noiseless_threshold_count_as_noiseless(sweep):
+    # from about 117 dB the noise variance reads 0; a subnormal one would
+    # overflow the demappers' divisions
+    grid = (120.0, 300.0, 3078.0, 3100.0, 3200.0, math.inf)
+    points = sweep(small_config(esn0_grid_db=grid, max_frames=16)).points
+    assert {branch[0] for branch in _counters(points[-1])} == {16}  # frames
+    for p in points[:-1]:
+        assert _counters(p) == _counters(points[-1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [run_frame, run_baseline_frame])
+@pytest.mark.parametrize("esn0_db", [120.0, 3078.0, 3200.0])
+def test_frame_above_the_noiseless_threshold_is_noiseless(run, esn0_db):
+    cfg = small_config()
+    t, noiseless = run(cfg, 2, esn0_db), run(cfg, 2, math.inf)
+    assert t.received.tobytes() == noiseless.received.tobytes()
+    assert t.llr_inner.tobytes() == noiseless.llr_inner.tobytes()
+
+
+@pytest.mark.parametrize("run", [run_frame, run_baseline_frame])
+def test_frame_index_checked(run):
+    cfg = small_config()
+    assert run(cfg, 2**62 - 1).frame_index == 2**62 - 1
+    for frame_index in (True, -1, np.int64(3), 2**62, 1.5, None):
+        with pytest.raises(ConfigError, match="frame_index"):
+            run(cfg, frame_index)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("run", [run_frame, run_baseline_frame])
 @pytest.mark.parametrize("esn0_db", ["1", math.nan, -math.inf, True])
@@ -121,7 +158,7 @@ def test_genie_equivalence_llr_bit_identical():
     # Derotating the received sequence by the true rotation bits recovers
     # the BPSK baseline's received sequence and inner LLRs bit for bit.
     cfg = small_config()
-    s2d = ChannelParams.from_esn0_db(-2.0).sigma2_dim
+    s2d = noise_var(-2.0)
     for fi in range(30):
         t = run_frame(cfg, fi, esn0_db=-2.0)
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
@@ -137,7 +174,7 @@ def test_received_sequence_used_twice():
     # recorded decoder inputs exactly.
     cfg = small_config()
     t = run_frame(cfg, 3, esn0_db=-1.0)
-    s2d = ChannelParams.from_esn0_db(-1.0).sigma2_dim
+    s2d = noise_var(-1.0)
     again_outer = rep_combine(cfg.outer, demap_outer_llr(t.received, s2d))
     assert np.array_equal(again_outer, t.llr_outer)
     y1 = rotate_by_bits(t.received, t.v2_hat, inverse=True)
@@ -308,14 +345,13 @@ def test_baseline_matches_genie_inner_branch():
     assert base.eta == pytest.approx(0.5)
     assert base.mode == "baseline"
     pb = base.points[0]
-    params = ChannelParams.from_esn0_db(-2.0)
     # frame-by-frame: baseline decode equals the genie-derotated decode
     for fi in range(5):
         t = run_frame(cfg, fi, esn0_db=-2.0)
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
         assert y1.tobytes() == b.received.tobytes()
-        llr, c1_hat, iters, _conv = simkit._inner_receive(cfg, y1, params)
+        llr, c1_hat, iters, _conv = simkit._inner_receive(cfg, y1, noise_var(-2.0))
         assert llr.tobytes() == b.llr_inner.tobytes()
         assert np.array_equal(c1_hat, b.c1_hat) and iters == b.iters_inner
         # a baseline frame has no outer stream
@@ -372,8 +408,8 @@ def test_rebuilt_rotation_bits_equal_reencode_on_desk_frames():
     converged = set()
     for esn0_db in (-1.5, -1.0, 0.5):
         for fi in range(24):
-            params, *_, y = simkit._dmm_front_end(cfg, fi, esn0_db)
-            _llr, c2_hat, v2_hat, _iters, conv = simkit._outer_stage(cfg, y, params)
+            sigma2_dim, *_, y = simkit._dmm_front_end(cfg, fi, esn0_db)
+            _llr, c2_hat, v2_hat, _iters, conv = simkit._outer_stage(cfg, y, sigma2_dim)
             always = np.repeat(encode(cfg.outer.base, c2_hat), cfg.outer.rep_factor)
             assert v2_hat.dtype == always.dtype and np.array_equal(v2_hat, always)
             converged.add(conv)
@@ -381,10 +417,8 @@ def test_rebuilt_rotation_bits_equal_reencode_on_desk_frames():
 
 
 def test_frame_stream_domains_distinct():
-    a = frame_stream(1, 0, 0)
-    b = frame_stream(1, 0, 1)
-    c = frame_stream(1, 1, 0)
-    assert len({a.stream_id, b.stream_id, c.stream_id}) == 3
+    keys = [tuple(frame_stream(1, fi, d).bit_generator.state["state"]["key"]) for fi, d in ((0, 0), (0, 1), (1, 0))]
+    assert keys == [(1, 0), (1, 1), (1, 4)]
 
 
 # ------------------------------------------------------------- persistence
