@@ -2,25 +2,22 @@
 output entropy minus noise entropy, plus the distance heuristic R1/4
 for the rotation-borne stream's code rate.
 
-BPSK is treated as one-dimensional: the decision variable sees the
-per-dimension noise variance sigma2_total / 2. QPSK is computed as a
-genuine two-dimensional four-point mixture so the I/Q doubling identity
-is a cross-check between independent integration routes, not a tautology:
-its density is formed and its log taken on a 2-D Gauss-Legendre node
-grid, in units of the noise standard deviation about the positive
-constellation point, at most 384 nodes per axis at any Es/N0, and reduced
-by two matrix-vector products. Below one noise threshold both carry
-their full bits without quadrature. Symbol energy is normalized to 1;
-only the ratio enters.
+Both are sums of one 1-D rule, ``_mi_axis``: the bits per axis of a
+two-point input +-a in Gaussian noise of per-dimension standard
+deviation sigma, integrated in units of sigma on 16-point Gauss-Legendre
+panels. BPSK is one such axis (a = 1); QPSK is two independent ones
+(a = 1/sqrt(2)), since its four-point density is the product of the two
+per-axis densities. Below one noise threshold both carry their full bits
+without quadrature. Symbol energy is normalized to 1; only the ratio
+enters.
 
-SciPy's ``quad`` and ``brentq`` are imported inside the functions that
-use them, so importing the package or running frames does not load
-``scipy.integrate`` or ``scipy.optimize``.
+SciPy's ``brentq`` is imported inside ``esn0_at_mi``, so importing the
+package, running frames or evaluating MI does not load
+``scipy.optimize``, and nothing loads ``scipy.integrate``.
 """
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,117 +37,88 @@ def _mi_point(esn0_db, mi):
     return MiPoint(esn0_db, mi, ebn0)
 
 
-# Largest per-dimension noise standard deviation at which mi_bpsk's
-# integrand is evaluated: it squares (y -+ 1) over y in +-(1 + 12 sigma),
-# which must stay a finite float. Past it, below about -3063 dB, the
-# mutual information is below 1e-300 bits.
-_SIG_MAX_BPSK = math.sqrt(sys.float_info.max) / 13.0
+@functools.cache
+def _unit_panels(n_panels):
+    """Nodes and weights of n_panels 16-point Gauss-Legendre panels of
+    width 1 on [0, n_panels], computed once per panel count (12 to 24)
+    and kept: the rule is an eigenvalue problem that costs more than a
+    point. The arrays are shared and must not be written."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes = (np.arange(n_panels)[:, None] + 0.5 * (x + 1.0)[None, :]).ravel()
+    return nodes, np.tile(0.5 * w, n_panels)
+
+
+# Bits per axis below which _mi_axis returns 0: the Gaussian-input
+# capacity d^2 / (2 ln 2) bounds the two-point one, so the 0 returned is
+# within this of the truth.
+_MI_FLOOR = 1e-300
+
+# Entropy in bits of a unit normal, H(N) in units of sigma.
+_H_UNIT_NORMAL = 0.5 * math.log2(2.0 * math.pi * math.e)
+
+
+def _mi_axis(d):
+    """Bits per axis of an equiprobable input +-a in Gaussian noise of
+    standard deviation sigma, with d = a / sigma.
+
+    In units of sigma about the positive point, t = d + z, the output
+    density is f = h / (2 sqrt(2 pi)) with h(z) = exp(-z^2/2) +
+    exp(-(z + 2d)^2/2). It is even in t, so H(Y) - log2(sigma) is twice
+    its integral over t >= 0, taken for z in [-min(d, 12), 12] (from the
+    axis, or 12 sigma below the point, to 12 sigma above it) on 16-point
+    Gauss-Legendre panels about 1 sigma wide: 12 to 24 panels, at most
+    384 nodes. The noise entropy is H(N) = 1/2 log2(2 pi e) + log2(sigma),
+    so the log sigma terms cancel exactly and I = -2 sum w f log2 f -
+    1/2 log2(2 pi e). Where d^2 / (2 ln 2) < _MI_FLOOR it returns 0.
+    """
+    if d * d / (2.0 * math.log(2.0)) < _MI_FLOOR:
+        return 0.0
+    lo = -min(d, 12.0)
+    n_panels = math.ceil(12.0 - lo)
+    width = (12.0 - lo) / n_panels
+    u, w = _unit_panels(n_panels)
+    z = lo + width * u
+    f = (np.exp(-0.5 * z * z) + np.exp(-0.5 * (z + 2.0 * d) ** 2)) / (2.0 * math.sqrt(2.0 * math.pi))
+    hy = -2.0 * width * float(w @ (f * np.log2(f)))
+    return min(max(hy - _H_UNIT_NORMAL, 0.0), 1.0)
 
 
 def mi_bpsk(esn0_db):
-    """Mutual information of equiprobable BPSK at the given Es/N0 (dB).
-
-    I = H(Y) - H(N) with Y an equiprobable two-Gaussian mixture on the
-    real line; H(Y) by adaptive quadrature over +-12 standard
-    deviations (absolute tolerance well under 1e-9). Where
-    ``noise_var`` reads 0, its standard deviation below the noiseless
-    threshold (about 117 dB, inside the band from 73 dB up where the
-    quadrature gives exactly 1.0), the channel carries the full 1 bit
-    without quadrature: further up the integrand is two spikes that
-    ``quad`` cannot resolve, so it warns and, above about 324 dB, falls
-    short of 1. Es/N0 = +inf is such a channel;
-    Es/N0 = -inf carries 0 bits, and so, to within 1e-300 bits, does any
-    Es/N0 whose noise standard deviation exceeds _SIG_MAX_BPSK (below
-    about -3063 dB), where the integrand would overflow.
+    """Mutual information of equiprobable BPSK at the given Es/N0 (dB):
+    one ``_mi_axis`` with a = 1 and sigma^2 the per-dimension noise
+    variance of ``noise_var``. Where that reads 0, below its noiseless
+    threshold (about 117 dB, +inf included), the channel carries the
+    full 1 bit without quadrature; at Es/N0 = -inf, and wherever the
+    bound of ``_mi_axis`` puts it below 1e-300 bits (below about
+    -3001.6 dB), it carries 0 bits.
 
     Raises:
         ValueError: if esn0_db is NaN.
     """
-    from scipy.integrate import quad
-
     s2 = noise_var(esn0_db)
     if s2 == 0.0:
         return _mi_point(esn0_db, 1.0)
-    sig = math.sqrt(s2)
-    if sig > _SIG_MAX_BPSK:
-        return _mi_point(esn0_db, 0.0)
-    norm = 0.5 / math.sqrt(2.0 * math.pi * s2)
-
-    def neg_flog2f(y):
-        f = norm * (
-            math.exp(-((y - 1.0) ** 2) / (2.0 * s2))
-            + math.exp(-((y + 1.0) ** 2) / (2.0 * s2))
-        )
-        if f <= 0.0:
-            return 0.0
-        return -f * math.log2(f)
-
-    lo, hi = -1.0 - 12.0 * sig, 1.0 + 12.0 * sig
-    hy, _ = quad(neg_flog2f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=400,
-                 points=[-1.0, 0.0, 1.0])
-    hn = 0.5 * math.log2(2.0 * math.pi * math.e * s2)
-    return _mi_point(esn0_db, min(max(hy - hn, 0.0), 1.0))
-
-
-@functools.cache
-def _gauss_legendre16():
-    """16-point Gauss-Legendre rule on [-1, 1], computed on first use and
-    kept: it is an eigenvalue problem that otherwise costs about a quarter
-    of a QPSK point. The arrays are shared and must not be written."""
-    return np.polynomial.legendre.leggauss(16)
-
-
-def _panel_nodes(lo, hi, n_panels):
-    x, w = _gauss_legendre16()
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return nodes, wts
+    return _mi_point(esn0_db, _mi_axis(1.0 / math.sqrt(s2)))
 
 
 def mi_qpsk(esn0_db):
     """Mutual information of equiprobable QPSK at the given Es/N0 (dB).
 
-    Two-dimensional mixture of four Gaussians at (+-a, +-a), a=1/sqrt(2),
-    minus the complex-noise entropy. The mixture density is even on both
-    axes, so H(Y) is 4 times its integral over the positive quadrant,
-    taken per axis in units of the noise standard deviation sigma about
-    the positive point, x = a + sigma z, with z in [-min(a/sigma, 12), 12]
-    (from the axis, or 12 sigma below the point, to 12 sigma above it) on
-    16-point Gauss-Legendre panels about 1 sigma wide: at most 24 panels,
-    384 nodes. With h(z) = exp(-z^2/2) + exp(-(z + 2a/sigma)^2/2) the
-    per-axis Gaussian pair, the density on the node grid is
-    F = norm * h h', so H(Y) = -4 norm sigma^2 u' log2(F) u with
-    u = weights * h. The log is taken of the 2-D density, not split into
-    per-axis terms, so the I/Q doubling identity against ``mi_bpsk``
-    stays a check between two integration routes. Where ``noise_var``
-    reads 0, below its noiseless threshold, the channel carries the full
-    2 bits without quadrature; at Es/N0 = -inf it carries 0 bits.
+    The four points (+-a, +-a), a = 1/sqrt(2), in complex noise of
+    per-dimension variance sigma^2 = ``noise_var``: the output density is
+    the product of two independent per-axis two-Gaussian densities, so
+    the mutual information is exactly 2 ``_mi_axis(a / sigma)``. Where
+    ``noise_var`` reads 0, below its noiseless threshold, the channel
+    carries the full 2 bits without quadrature; at Es/N0 = -inf, and
+    below the bound of ``_mi_axis`` (about -2998.6 dB), it carries 0 bits.
 
     Raises:
         ValueError: if esn0_db is NaN.
     """
     s2 = noise_var(esn0_db)
-    if s2 == math.inf:
-        return _mi_point(esn0_db, 0.0)
     if s2 == 0.0:
         return _mi_point(esn0_db, 2.0)
-    sig = math.sqrt(s2)
-    a = 1.0 / math.sqrt(2.0)
-    lo = -min(a / sig, 12.0)
-    z, wts = _panel_nodes(lo, 12.0, math.ceil(12.0 - lo))
-    h = np.exp(-0.5 * z * z) + np.exp(-0.5 * (z + 2.0 * a / sig) ** 2)
-    u = wts * h
-    norm = 0.25 / (2.0 * math.pi * s2)
-    f = np.multiply.outer(norm * h, h)
-    # at very low Es/N0 the density underflows to 0 in the corners, where
-    # it adds nothing
-    np.log2(f, out=f, where=f > 0.0)
-    hy = -4.0 * norm * s2 * float(u @ (f @ u))
-    hn = math.log2(2.0 * math.pi * math.e * s2)
-    return _mi_point(esn0_db, min(max(hy - hn, 0.0), 2.0))
+    return _mi_point(esn0_db, 2.0 * _mi_axis(math.sqrt(0.5 / s2)))
 
 
 def _mi_function(modulation):

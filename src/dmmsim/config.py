@@ -64,11 +64,16 @@ def check_workers(workers):
 
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 
+# Most frames a point may run: frame indices then stay below 2**61, so
+# their Philox stream ids stay below the code-construction stream 2**63.
+MAX_FRAMES = 2**61
+
 # (field, its key path in a config file, requirement, test) for each scalar field
 _FIELD_RULES = (
     ("max_iter", "max_iter", *_COUNT),
     ("min_frame_errors", "stop.min_frame_errors", *_COUNT),
-    ("max_frames", "stop.max_frames", *_COUNT),
+    ("max_frames", "stop.max_frames", "an integer in [1, 2**61]",
+     lambda v: _is_int(v) and 1 <= v <= MAX_FRAMES),
     ("batch_frames", "batch_frames", *_COUNT),
     ("seed", "seed", "an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64),
 )

@@ -30,8 +30,8 @@ MAX_EDGES = 1 << 20
 # Generator bits assembled unpacked at a time by derive_generator.
 _GEN_BLOCK = 1 << 20
 
-# Philox stream id of code construction; a per-frame id (simkit) reaches
-# it only at frame index 2**61.
+# Philox stream id of code construction; every per-frame id (simkit) is
+# below it, since frame indices stop below 2**61 (config.MAX_FRAMES).
 _CODEGEN_STREAM = 2**63
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import add_noise, ebn0_from_esn0, noise_var, philox
 # load_config is re-exported: the traced benchmark (perfbench/spans.py) binds simkit.load_config
-from .config import ConfigError, _check_esn0, _is_int, check_workers, load_config
+from .config import MAX_FRAMES, ConfigError, _check_esn0, _is_int, check_workers, load_config
 from .ldpc import (
     LLR_CAP,
     decode_bp_full,
@@ -46,7 +46,8 @@ from .modem import (
 )
 
 # Per-frame stream domains; frame i uses stream ids (i << 2) | domain,
-# which stay below 2**64 for every frame index below 2**62.
+# which stay below 2**63, the code-construction stream
+# (ldpc._CODEGEN_STREAM), for every frame index below 2**61.
 DOMAIN_INNER_BITS = 0
 DOMAIN_OUTER_BITS = 1
 DOMAIN_NOISE = 2
@@ -83,8 +84,8 @@ class FrameTrace:
 
 
 def _check_frame_index(frame_index):
-    if not (_is_int(frame_index) and 0 <= frame_index < 2**62):
-        raise ConfigError(f"frame_index must be an integer in [0, 2**62), got {frame_index!r}")
+    if not (_is_int(frame_index) and 0 <= frame_index < MAX_FRAMES):
+        raise ConfigError(f"frame_index must be an integer in [0, 2**61), got {frame_index!r}")
 
 
 def _resolve_esn0(cfg, esn0_db):

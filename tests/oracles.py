@@ -7,12 +7,14 @@ asserted against them at run time.
 """
 
 import math
+import sys
 from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import logsumexp
 
+from dmmsim.channel import noise_var
 from dmmsim.gf2 import row_reduce
 from dmmsim.ldpc import LLR_CAP, CodeConstructionError, _edge_arrays, derive_generator
 from dmmsim.modem import POINTS
@@ -252,6 +254,47 @@ def decode_bp_reference(code, llr, max_iter, early_exit=True):
         if it < max_iter:
             v2c = np.clip(post[ec] - c2v, -LLR_CAP, LLR_CAP)
     return hard, post, iters, converged
+
+
+# Largest per-dimension noise standard deviation at which
+# mi_bpsk_reference's integrand is evaluated: it squares (y -+ 1) over
+# y in +-(1 + 12 sigma), which must stay a finite float. Past it, below
+# about -3063 dB, the mutual information is below 1e-300 bits.
+_SIG_MAX_BPSK = math.sqrt(sys.float_info.max) / 13.0
+
+
+def mi_bpsk_reference(esn0_db):
+    """BPSK mutual information in bits by SciPy's adaptive ``quad`` over
+    +-12 standard deviations of the 1-D two-Gaussian output density: the
+    former body of ``capacity.mi_bpsk``, kept as an integration route
+    independent of its Gauss-Legendre rule. It takes the noise variance
+    from ``channel.noise_var``, so it reads 1 bit from the noiseless
+    threshold (about 117 dB) up; below it, from about 140 dB, ``quad``
+    would warn and, above about 324 dB, fall short of 1."""
+    from scipy.integrate import quad
+
+    s2 = noise_var(esn0_db)
+    if s2 == 0.0:
+        return 1.0
+    sig = math.sqrt(s2)
+    if sig > _SIG_MAX_BPSK:
+        return 0.0
+    norm = 0.5 / math.sqrt(2.0 * math.pi * s2)
+
+    def neg_flog2f(y):
+        f = norm * (
+            math.exp(-((y - 1.0) ** 2) / (2.0 * s2))
+            + math.exp(-((y + 1.0) ** 2) / (2.0 * s2))
+        )
+        if f <= 0.0:
+            return 0.0
+        return -f * math.log2(f)
+
+    lo, hi = -1.0 - 12.0 * sig, 1.0 + 12.0 * sig
+    hy, _ = quad(neg_flog2f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=400,
+                 points=[-1.0, 0.0, 1.0])
+    hn = 0.5 * math.log2(2.0 * math.pi * math.e * s2)
+    return min(max(hy - hn, 0.0), 1.0)
 
 
 def _panel_nodes_reference(lo, hi, n_panels, order=16):

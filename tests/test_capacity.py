@@ -18,7 +18,7 @@ from dmmsim.capacity import (
     rate_bound_outer,
 )
 from dmmsim.results import write_mi_csv
-from oracles import mi_qpsk_reference
+from oracles import mi_bpsk_reference, mi_qpsk_reference
 
 # Frozen from the independent quadrature + bisection oracle
 # (two-Gaussian mixture entropy, 1-D noise variance sigma_n^2 / 2).
@@ -64,9 +64,10 @@ def test_mi_qpsk_monotone_and_bounded():
 
 
 def test_qpsk_doubling_identity_20_points():
-    # I/Q independence: mi_qpsk(s) = 2 * mi_bpsk(s - 3.0103 dB); the two
-    # sides come from independent integration routes (2-D panels vs 1-D
-    # adaptive quadrature).
+    # I/Q independence: mi_qpsk(s) = 2 * mi_bpsk(s - 3.0103 dB). Both sides
+    # are the one per-axis rule, so here it holds by construction; the
+    # check between two integration routes is
+    # test_reference_qpsk_doubles_reference_bpsk.
     grid = np.linspace(-8.0, 11.0, 20)
     for s in grid:
         q = mi_qpsk(s).mi_bits
@@ -98,9 +99,71 @@ def test_mi_qpsk_matches_reference_property(esn0_db):
     assert abs(mi_qpsk(esn0_db).mi_bits - want) <= 1e-12
 
 
+def test_reference_qpsk_doubles_reference_bpsk():
+    # the I/Q identity between two independent integration routes: the
+    # 2-D panel grid of mi_qpsk_reference and the 1-D adaptive quad of
+    # mi_bpsk_reference
+    for s in np.linspace(-8.0, 11.0, 20):
+        q = mi_qpsk_reference(s)
+        b = mi_bpsk_reference(s - 10.0 * math.log10(2.0))
+        assert abs(q - 2.0 * b) <= 1e-10, s
+
+
+# Deep noise, the half-bit region and up to 60 dB (within 1e-12), then
+# from 70 dB across the noiseless threshold, about 117 dB, from where
+# both read 1 bit (within 1e-11).
+BPSK_ORACLE_ESN0_DB = [-3000.0, -300.0, -60.0, -40.0, *np.arange(-10.0, 10.5, 0.5).tolist(),
+                       20.0, 40.0, 60.0]
+BPSK_HIGH_ESN0_DB = [70.0, 80.0, 90.0, 100.0, 110.0, 116.9, 117.0, 118.0, math.inf]
+
+
+@pytest.mark.parametrize("esn0_db", BPSK_ORACLE_ESN0_DB)
+def test_mi_bpsk_matches_reference(esn0_db):
+    assert abs(mi_bpsk(esn0_db).mi_bits - mi_bpsk_reference(esn0_db)) <= 1e-12
+
+
+@pytest.mark.parametrize("esn0_db", BPSK_HIGH_ESN0_DB)
+def test_mi_bpsk_matches_reference_at_high_snr(esn0_db):
+    assert abs(mi_bpsk(esn0_db).mi_bits - mi_bpsk_reference(esn0_db)) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-60.0, 60.0))
+def test_mi_bpsk_matches_reference_property(esn0_db):
+    assert abs(mi_bpsk(esn0_db).mi_bits - mi_bpsk_reference(esn0_db)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(60.0, 117.0))
+def test_mi_bpsk_matches_reference_property_at_high_snr(esn0_db):
+    assert abs(mi_bpsk(esn0_db).mi_bits - mi_bpsk_reference(esn0_db)) <= 1e-11
+
+
+# brentq takes 10 evaluations on both routes for the half-bit root, and
+# 14 on mi_bpsk against 13 on the reference for the 0.25-bit root.
+@pytest.mark.parametrize("target, n_evals, n_ref_evals", [(0.5, 10, 10), (0.25, 14, 13)])
+def test_bpsk_root_matches_reference(target, n_evals, n_ref_evals, monkeypatch):
+    evals = []
+
+    def counted(esn0_db, _real=capacity.mi_bpsk):
+        evals.append(esn0_db)
+        return _real(esn0_db)
+
+    monkeypatch.setattr(capacity, "mi_bpsk", counted)
+    root = esn0_at_mi(target, "bpsk")
+    ref_evals = []
+
+    def ref(esn0_db):
+        ref_evals.append(esn0_db)
+        return mi_bpsk_reference(esn0_db) - target
+
+    assert abs(root - brentq(ref, -40.0, 40.0, xtol=1e-9)) <= 1e-12
+    assert (len(evals), len(ref_evals)) == (n_evals, n_ref_evals)
+
+
 @pytest.mark.parametrize("esn0_db", [140.0, 200.0, 300.0, 330.0])
 def test_mi_bpsk_high_snr_is_one_without_warnings(esn0_db):
-    # quad warned from 140 dB and fell below 1 from 324 dB
+    # the former adaptive quad warned from 140 dB and fell below 1 from 324 dB
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mi_bpsk(esn0_db).mi_bits == 1.0
@@ -148,8 +211,8 @@ def test_mi_at_minus_inf_is_zero_without_warnings(fn):
 @pytest.mark.parametrize("esn0_db", [-3062.0, -3064.0, -3081.0, -3082.4, -3083.0, -4000.0])
 @pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
 def test_mi_far_below_float_range_is_zero_without_warnings(fn, esn0_db):
-    # mi_bpsk's integrand overflows below about -3063 dB and the noise
-    # variance below about -3082.5 dB; MI there is below 1e-300 bits
+    # below about -3000 dB MI is under the 1e-300-bit floor, and below
+    # about -3082.5 dB the noise variance overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p = fn(esn0_db)
@@ -186,17 +249,19 @@ def test_mi_qpsk_non_decreasing():
 
 
 def test_mi_qpsk_peak_memory_is_bounded():
-    # No Es/N0 forms more than 24 panels, that is 384 nodes, per axis: a
-    # 384 x 384 density of 1.1 MiB. From 21.6 dB on the window no longer
+    # Both MI functions, despite the name: no Es/N0 forms more than 24
+    # panels, that is 384 nodes, on its one axis, a few arrays of 3 KiB.
+    # From 21.6 dB (QPSK) or 18.6 dB (BPSK) on the window no longer
     # touches the axis and holds all 24 panels.
-    for esn0_db in (0.0, 21.6, 40.0, 60.0, 112.0):
-        tracemalloc.start()
-        try:
-            mi_qpsk(esn0_db)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20, esn0_db
+    for fn in (mi_bpsk, mi_qpsk):
+        for esn0_db in (-40.0, 0.0, 21.6, 40.0, 60.0, 112.0):
+            tracemalloc.start()
+            try:
+                fn(esn0_db)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**10, (fn.__name__, esn0_db)
 
 
 def test_mi_point_ebn0_consistency():

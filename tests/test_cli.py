@@ -108,7 +108,7 @@ def test_capacity_high_snr_bpsk_is_quiet(tmp_path):
 
 @pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
 def test_capacity_far_below_float_range_reads_zero_bits(tmp_path, modulation):
-    # below about -3063 dB no float quadrature is possible; MI is under 1e-300
+    # below about -3000 dB MI is under the 1e-300-bit floor and reads 0
     argv = ["capacity", "--grid=-3081,-4000", "--modulation", modulation, "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     rows = (tmp_path / f"capacity_{modulation}.csv").read_text().splitlines()
@@ -130,7 +130,12 @@ cfg["stop"] = {"min_frame_errors": 1, "max_frames": 16}
 (out / "cfg.json").write_text(json.dumps(cfg))
 rc = cli.main(["ber-sweep", str(out / "cfg.json"), "--grid=-1.0,0.5", "--workers", "1",
                "--out-dir", str(out / "run")])
-loaded = sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules)
+def scipy_loaded():
+    return sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules)
+
+loaded = scipy_loaded()
+grids = {m: [p.mi_bits for p in dmmsim.mi_grid([-2.0, 0.0, 2.0], m)] for m in ("bpsk", "qpsk")}
+loaded_by_mi = scipy_loaded()
 
 # BPSK mutual information at 0 dB by a plain trapezoid over +-14 sigma
 s2 = 0.5
@@ -138,21 +143,28 @@ y = np.linspace(-1 - 14 * math.sqrt(s2), 1 + 14 * math.sqrt(s2), 400001)
 f = 0.5 * (np.exp(-(y - 1) ** 2 / (2 * s2)) + np.exp(-(y + 1) ** 2 / (2 * s2))) / math.sqrt(2 * math.pi * s2)
 hy = float(np.sum(-f * np.log2(f)) * (y[1] - y[0]))
 want = hy - 0.5 * math.log2(2 * math.pi * math.e * s2)
-print(json.dumps({"rc": rc, "loaded": loaded, "mi": dmmsim.mi_bpsk(0.0).mi_bits, "want": want,
-                  "root": dmmsim.esn0_at_mi(0.5)}))
+root = dmmsim.esn0_at_mi(0.5)
+print(json.dumps({"rc": rc, "loaded": loaded, "loaded_by_mi": loaded_by_mi, "grids": grids,
+                  "loaded_by_root": scipy_loaded(), "mi": dmmsim.mi_bpsk(0.0).mi_bits,
+                  "want": want, "root": root}))
 """
 
 
 def test_frame_runs_do_not_load_scipy_quadrature(tmp_path):
     # scipy.integrate and scipy.optimize cost about 50 MiB of resident
-    # memory in every simulation process and its pool workers; only the
-    # capacity functions load them, when first called
+    # memory in every simulation process and its pool workers. Frames and
+    # MI grids of both modulations load neither; only esn0_at_mi loads
+    # scipy.optimize, when first called, and nothing loads scipy.integrate
     proc = run_child(["-c", LAZY_SCIPY_CHILD, str(ROOT), str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["rc"] == 0
     assert (tmp_path / "run" / "dmm_sweep.csv").exists()
     assert got["loaded"] == []
+    assert got["loaded_by_mi"] == []
+    assert abs(got["grids"]["bpsk"][1] - got["want"]) < 1e-9  # the 0 dB entry
+    assert all(0.0 < b < q < 2.0 for b, q in zip(got["grids"]["bpsk"], got["grids"]["qpsk"]))
+    assert got["loaded_by_root"] == ["scipy.optimize"]
     assert abs(got["mi"] - got["want"]) < 1e-9
     assert abs(got["root"] - -2.823239579262132) < 1e-6  # the frozen half-bit root
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dmmsim.config import (
     _FIELD_RULES,
     FRAME_ESN0_MIN_DB,
+    MAX_FRAMES,
     ConfigError,
     SystemConfig,
     config_to_dict,
@@ -41,7 +42,7 @@ COUNTS = st.integers(1, 2**64)
 IN_RANGE = {
     "max_iter": COUNTS,
     "min_frame_errors": COUNTS,
-    "max_frames": COUNTS,
+    "max_frames": st.integers(1, MAX_FRAMES),
     "batch_frames": COUNTS,
     "seed": st.integers(0, 2**64 - 1),
 }
@@ -103,3 +104,19 @@ def test_integer_beyond_float_range_rejected():
     # such an integer has no float value; it is refused, not an OverflowError
     with pytest.raises(ConfigError, match="esn0_grid_db entry"):
         small_config(esn0_grid_db=(-(10**400),))
+
+
+def test_max_frames_bounded_at_load(tmp_path):
+    # a point of more than 2**61 frames would run frame index 2**61, whose
+    # inner-bit stream is the code-construction stream; it is refused when
+    # the config loads, not in the middle of a sweep
+    path = tmp_path / "cfg.json"
+    for max_frames, ok in ((MAX_FRAMES, True), (MAX_FRAMES + 1, False), (2**64, False)):
+        path.write_text(json.dumps({**CODES, "esn0_grid_db": [0.0], "stop": {"max_frames": max_frames}}))
+        if ok:
+            assert load_config(path).max_frames == MAX_FRAMES
+        else:
+            with pytest.raises(ConfigError, match=r"stop\.max_frames must be an integer in \[1, 2\*\*61\]"):
+                load_config(path)
+    with pytest.raises(ConfigError, match="stop.max_frames"):
+        small_config(max_frames=MAX_FRAMES + 1)

@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dmmsim import cli, config, simkit
-from dmmsim.channel import ebn0_from_esn0, noise_var
-from dmmsim.ldpc import LdpcCode, RepetitionCode, encode, rep_combine
+from dmmsim.channel import ebn0_from_esn0, noise_var, philox
+from dmmsim.ldpc import _CODEGEN_STREAM, LdpcCode, RepetitionCode, encode, rep_combine
 from dmmsim.modem import (
     POINTS,
     demap_inner_llr,
@@ -23,6 +23,9 @@ from dmmsim.modem import (
 from dmmsim.config import ConfigError, SystemConfig, config_to_dict, load_config
 from dmmsim.results import build_manifest, write_genie_csv, write_manifest, write_sweep_csv
 from dmmsim.simkit import (
+    DOMAIN_INNER_BITS,
+    DOMAIN_NOISE,
+    DOMAIN_OUTER_BITS,
     GeniePoint,
     SweepPoint,
     SweepResult,
@@ -122,10 +125,23 @@ def test_frame_above_the_noiseless_threshold_is_noiseless(run, esn0_db):
 @pytest.mark.parametrize("run", [run_frame, run_baseline_frame])
 def test_frame_index_checked(run):
     cfg = small_config()
-    assert run(cfg, 2**62 - 1).frame_index == 2**62 - 1
-    for frame_index in (True, -1, np.int64(3), 2**62, 1.5, None):
+    assert run(cfg, 2**61 - 1).frame_index == 2**61 - 1
+    for frame_index in (True, -1, np.int64(3), 2**61, 2**62, 1.5, None):
         with pytest.raises(ConfigError, match="frame_index"):
             run(cfg, frame_index)
+
+
+def test_last_frame_streams_stay_below_the_code_stream():
+    # frame 2**61 would key its inner bits at 2**63, the code-construction
+    # stream; the last valid frame keys every purpose below it
+    last = 2**61 - 1
+    code_draws = philox(7, _CODEGEN_STREAM).integers(0, 2**63, 4)
+    for domain in (DOMAIN_INNER_BITS, DOMAIN_OUTER_BITS, DOMAIN_NOISE):
+        stream_id = (last << 2) | domain
+        assert stream_id < _CODEGEN_STREAM
+        draws = frame_stream(7, last, domain).integers(0, 2**63, 4)
+        assert np.array_equal(draws, philox(7, stream_id).integers(0, 2**63, 4))
+        assert not np.array_equal(draws, code_draws)
 
 
 @pytest.mark.filterwarnings("error")
