@@ -8,16 +8,17 @@ deviation sigma, integrated in units of sigma on 16-point Gauss-Legendre
 panels. BPSK is one such axis (a = 1); QPSK is two independent ones
 (a = 1/sqrt(2)), since its four-point density is the product of the two
 per-axis densities. Below one noise threshold both carry their full bits
-without quadrature. Symbol energy is normalized to 1; only the ratio
-enters.
+without quadrature; at low Es/N0 the rule is a series in (a/sigma)^2.
+Symbol energy is normalized to 1; only the ratio enters.
 
-SciPy's ``brentq`` is imported inside ``esn0_at_mi``, so importing the
-package, running frames or evaluating MI does not load
-``scipy.optimize``, and nothing loads ``scipy.integrate``.
+``esn0_at_mi`` finds its root with ``_brentq``, a port of SciPy's
+``brentq`` that gives the same roots bit for bit, so no module of the
+package imports SciPy.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,12 @@ _MI_FLOOR = 1e-300
 # Entropy in bits of a unit normal, H(N) in units of sigma.
 _H_UNIT_NORMAL = 0.5 * math.log2(2.0 * math.pi * math.e)
 
+# d^2 below which _mi_axis sums its series in d^2 instead of the
+# quadrature: the first omitted term, -5 d^8 / 24 nats, is under 1e-17 of
+# the leading d^2 / 2 there ((5/12) d^6 < 3.4e-18), while the quadrature's
+# absolute error of a few 1e-16 bits is already 3e-10 of the value.
+_SERIES_D2 = 2e-6
+
 
 def _mi_axis(d):
     """Bits per axis of an equiprobable input +-a in Gaussian noise of
@@ -69,10 +76,16 @@ def _mi_axis(d):
     Gauss-Legendre panels about 1 sigma wide: 12 to 24 panels, at most
     384 nodes. The noise entropy is H(N) = 1/2 log2(2 pi e) + log2(sigma),
     so the log sigma terms cancel exactly and I = -2 sum w f log2 f -
-    1/2 log2(2 pi e). Where d^2 / (2 ln 2) < _MI_FLOOR it returns 0.
+    1/2 log2(2 pi e). That difference of two terms near 2.05 bits keeps
+    no digit below about 1e-15 bits, so where d^2 < _SERIES_D2 it returns
+    the low-SNR series (d^2/2 - d^4/4 + d^6/6) / ln 2 instead, and where
+    d^2 / (2 ln 2) < _MI_FLOOR it returns 0.
     """
-    if d * d / (2.0 * math.log(2.0)) < _MI_FLOOR:
+    d2 = d * d
+    if d2 / (2.0 * math.log(2.0)) < _MI_FLOOR:
         return 0.0
+    if d2 < _SERIES_D2:
+        return (d2 / 2.0 - d2 * d2 / 4.0 + d2**3 / 6.0) / math.log(2.0)
     lo = -min(d, 12.0)
     n_panels = math.ceil(12.0 - lo)
     width = (12.0 - lo) / n_panels
@@ -132,15 +145,123 @@ def _mi_function(modulation):
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
+# SciPy's default and smallest relative tolerance of brentq.
+_RTOL = 4.0 * sys.float_info.epsilon
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa, xb, xtol, rtol=_RTOL, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, Algorithms
+    for Minimization without Derivatives, ch. 4), to within xtol + rtol |x|.
+
+    A statement-for-statement port of the C loop of SciPy's
+    ``scipy.optimize.brentq`` with the checks of its Python wrapper, so
+    it evaluates f at the same points and returns the same root bit for
+    bit. Where C divides by zero (the extrapolation's slopes, or their
+    product, underflow to 0 on tiny values of f), its inf or NaN step
+    fails the step test and the loop bisects; Python raises
+    ZeroDivisionError there, which is caught to the same effect. Signs
+    are compared as C's signbit does, so -0.0 counts as negative.
+
+    Raises:
+        ValueError: if xtol <= 0, rtol < 4 eps, f(xa) and f(xb) have the
+            same sign, or f returns NaN.
+        RuntimeError: if it does not converge in maxiter iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot converge.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan  # C's inf or NaN, which fails the test below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def esn0_at_mi(target_mi, modulation="bpsk"):
     """Es/N0 (dB) at which the chosen modulation reaches target_mi bits,
-    by bisection-style root finding on the quadrature curve."""
-    from scipy.optimize import brentq
+    by ``_brentq`` on the MI curve to 1e-9 dB.
 
+    The bracket is [-40, 40] dB. Where MI at -40 dB already exceeds the
+    target, the lower end moves down (-80, -160, ... dB) until MI there
+    falls below it, and the search runs between the last two lower ends.
+
+    Raises:
+        ValueError: if target_mi is not in (0, top), top being 1 bit for
+            BPSK and 2 for QPSK, or is below top * 1e-300 bits, the least
+            MI above the floor of ``_mi_axis`` (about -3000 dB).
+    """
     fn, top = _mi_function(modulation)
     if not 0.0 < target_mi < top:
         raise ValueError(f"target mi must lie in (0, {top})")
-    return brentq(lambda s: fn(s).mi_bits - target_mi, -40.0, 40.0, xtol=1e-9)
+    # top is also the number of axes, each floored at _MI_FLOOR bits
+    if target_mi < top * _MI_FLOOR:
+        raise ValueError(f"target mi below {top * _MI_FLOOR:g} bits, the smallest {modulation} reaches")
+
+    def excess(esn0_db):
+        return fn(esn0_db).mi_bits - target_mi
+
+    lo, hi = -40.0, 40.0
+    f_lo, f_hi = excess(lo), excess(hi)
+    while f_lo > 0.0 and f_hi > 0.0:
+        lo, hi, f_hi = 2.0 * lo, lo, f_lo
+        f_lo = excess(lo)
+    # _brentq starts by reading both ends, which are evaluated already
+    ends = {lo: f_lo, hi: f_hi}
+    return _brentq(lambda s: ends.pop(s) if s in ends else excess(s), lo, hi, xtol=1e-9)
 
 
 def mi_grid(esn0_grid_db, modulation="bpsk"):

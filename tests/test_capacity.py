@@ -220,6 +220,27 @@ def test_mi_far_below_float_range_is_zero_without_warnings(fn, esn0_db):
     assert p.ebn0_db == math.inf
 
 
+@pytest.mark.parametrize("fn, axes", [(mi_bpsk, 1), (mi_qpsk, 2)])
+def test_low_snr_series_agrees_with_quadrature(fn, axes, monkeypatch):
+    # -80 to -50 dB spans the switch at d^2 = 2e-6 (-60 dB BPSK, -57 dB
+    # QPSK); the two routes agree to the quadrature's absolute error of a
+    # few 1e-16 bits per axis
+    grid = np.arange(-80.0, -49.75, 0.5).tolist()
+    monkeypatch.setattr(capacity, "_SERIES_D2", math.inf)
+    series = [fn(s).mi_bits for s in grid]
+    monkeypatch.setattr(capacity, "_SERIES_D2", 0.0)
+    quadrature = [fn(s).mi_bits for s in grid]
+    for s, a, b in zip(grid, series, quadrature):
+        assert abs(a - b) <= 1e-15 * axes, s
+
+
+@pytest.mark.parametrize("esn0_db", [-200.0, -1000.0, -2990.0])
+@pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
+def test_deep_noise_ebn0_is_the_low_snr_limit(fn, esn0_db):
+    # MI tends to Es/N0 / ln 2 bits, so Eb/N0 tends to 10 log10(ln 2)
+    assert abs(fn(esn0_db).ebn0_db - 10.0 * math.log10(math.log(2.0))) <= 1e-6
+
+
 @pytest.mark.parametrize("fn", [mi_bpsk, mi_qpsk])
 def test_mi_rejects_nan_without_warnings(fn):
     with warnings.catch_warnings():

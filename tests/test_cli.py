@@ -115,7 +115,16 @@ def test_capacity_far_below_float_range_reads_zero_bits(tmp_path, modulation):
     assert rows[1:] == ["-3081.0000,0.000000000,inf", "-4000.0000,0.000000000,inf"]
 
 
-LAZY_SCIPY_CHILD = """
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_capacity_deep_noise_reads_low_snr_limit(tmp_path, modulation):
+    # MI of 1.4e-100 bits at -1000 dB, whose Eb/N0 is the limit 10 log10(ln 2)
+    argv = ["capacity", "--grid=-1000", "--modulation", modulation, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    rows = (tmp_path / f"capacity_{modulation}.csv").read_text().splitlines()
+    assert rows[1:] == ["-1000.0000,0.000000000,-1.5917"]
+
+
+NO_SCIPY_CHILD = """
 import json, math, sys
 from pathlib import Path
 import numpy as np
@@ -131,7 +140,7 @@ cfg["stop"] = {"min_frame_errors": 1, "max_frames": 16}
 rc = cli.main(["ber-sweep", str(out / "cfg.json"), "--grid=-1.0,0.5", "--workers", "1",
                "--out-dir", str(out / "run")])
 def scipy_loaded():
-    return sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 loaded = scipy_loaded()
 grids = {m: [p.mi_bits for p in dmmsim.mi_grid([-2.0, 0.0, 2.0], m)] for m in ("bpsk", "qpsk")}
@@ -144,18 +153,21 @@ f = 0.5 * (np.exp(-(y - 1) ** 2 / (2 * s2)) + np.exp(-(y + 1) ** 2 / (2 * s2))) 
 hy = float(np.sum(-f * np.log2(f)) * (y[1] - y[0]))
 want = hy - 0.5 * math.log2(2 * math.pi * math.e * s2)
 root = dmmsim.esn0_at_mi(0.5)
+loaded_by_root = scipy_loaded()
+cli_rcs = [cli.main(["capacity", "--grid=-1:1:1", "--half-bit", "--out-dir", str(out / "cap")]),
+           cli.main(["rate-bound", "0.5", "--r2", "0.1"])]
 print(json.dumps({"rc": rc, "loaded": loaded, "loaded_by_mi": loaded_by_mi, "grids": grids,
-                  "loaded_by_root": scipy_loaded(), "mi": dmmsim.mi_bpsk(0.0).mi_bits,
-                  "want": want, "root": root}))
+                  "loaded_by_root": loaded_by_root, "mi": dmmsim.mi_bpsk(0.0).mi_bits,
+                  "want": want, "root": root, "cli_rcs": cli_rcs, "loaded_by_cli": scipy_loaded()}))
 """
 
 
-def test_frame_runs_do_not_load_scipy_quadrature(tmp_path):
+def test_runs_do_not_load_scipy(tmp_path):
     # scipy.integrate and scipy.optimize cost about 50 MiB of resident
-    # memory in every simulation process and its pool workers. Frames and
-    # MI grids of both modulations load neither; only esn0_at_mi loads
-    # scipy.optimize, when first called, and nothing loads scipy.integrate
-    proc = run_child(["-c", LAZY_SCIPY_CHILD, str(ROOT), str(tmp_path)])
+    # memory in every process that loads them. Frames, MI grids of both
+    # modulations, the half-bit root and the capacity and rate-bound
+    # commands load no scipy module at all
+    proc = run_child(["-c", NO_SCIPY_CHILD, str(ROOT), str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["rc"] == 0
@@ -164,9 +176,12 @@ def test_frame_runs_do_not_load_scipy_quadrature(tmp_path):
     assert got["loaded_by_mi"] == []
     assert abs(got["grids"]["bpsk"][1] - got["want"]) < 1e-9  # the 0 dB entry
     assert all(0.0 < b < q < 2.0 for b, q in zip(got["grids"]["bpsk"], got["grids"]["qpsk"]))
-    assert got["loaded_by_root"] == ["scipy.optimize"]
+    assert got["loaded_by_root"] == []
     assert abs(got["mi"] - got["want"]) < 1e-9
     assert abs(got["root"] - -2.823239579262132) < 1e-6  # the frozen half-bit root
+    assert got["cli_rcs"] == [0, 0]
+    assert (tmp_path / "cap" / "capacity_bpsk.csv").exists()
+    assert got["loaded_by_cli"] == []
 
 
 def test_capacity_bad_grid_exits_nonzero(tmp_path, capsys):
