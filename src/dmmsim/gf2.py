@@ -3,34 +3,20 @@
 Rows are packed eight columns per byte (``np.packbits`` order, the first
 column in the high bit), and elimination works one packed byte, a strip
 of eight columns, at a time, after the Method of Four Russians
-(Arlazarov et al. 1970; Bard 2006): the strip's pivot rows are found
-from the distinct byte values, the XOR combinations of those rows are
-tabulated once, and every row is cleared with one gather from that
+(Arlazarov et al. 1970; Bard 2006): a reduced basis of the distinct byte
+values picks the strip's pivot rows, the XOR combinations of those rows
+are tabulated once, and every row is cleared with one gather from that
 table. The Python-level cost is per strip, not per pivot, so matrices of
 a few thousand columns reduce in tens of milliseconds.
 """
 
-import functools
 import operator
 
 import numpy as np
 
-
-@functools.cache
-def _pext():
-    """(256, 256) uint8 table: entry [mask, x] holds the bits of x at the
-    set bits of mask, packed into the low bits in ascending order (the
-    x86 PEXT instruction). Built on first use and kept, read-only."""
-    x = np.arange(256)
-    out = np.zeros((256, 256), dtype=np.intp)
-    below = np.zeros(256, dtype=np.intp)  # per mask: its set bits below bit i
-    for i in range(8):
-        in_mask = x >> i & 1
-        out |= (in_mask[:, None] & x[None, :] >> i & 1) << below[:, None]
-        below += in_mask
-    out = out.astype(np.uint8)
-    out.flags.writeable = False
-    return out
+# (256, 8) table: entry [x, i] is bit i of the byte value x.
+_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
+_BITS.flags.writeable = False
 
 
 def row_reduce(packed, n_cols):
@@ -40,8 +26,10 @@ def row_reduce(packed, n_cols):
     left of the strip, so the strip's pivot columns are the leading bits
     of the span of their strip bytes. A basis of that span is drawn from
     the distinct byte values with Python ints, one source row per basis
-    vector, and reduced so that each pivot bit belongs to one combination
-    of sources. The 2**k XOR combinations of the k source rows are
+    vector, and kept fully reduced as it grows: a new vector is cleared
+    of the leading bits already held, then clears its own leading bit
+    from the others, so each pivot bit belongs to one combination of
+    sources. The 2**k XOR combinations of the k source rows are
     tabulated over the strip and the bytes right of it, and every row
     with a pivot bit set is XORed with the combination that clears its
     pivot bits, which leaves the source rows zero. The k reduced pivot
@@ -76,7 +64,6 @@ def row_reduce(packed, n_cols):
     if n % 8:
         P[:, -1] &= 0xFF << (8 - n % 8) & 0xFF
     m = P.shape[0]
-    pext = _pext()
     row_ids = np.arange(m)
     pivot_cols = []
     r = 0
@@ -88,52 +75,45 @@ def row_reduce(packed, n_cols):
         holder = np.full(256, -1, dtype=np.intp)
         holder[strip] = row_ids[: m - r]
         limit = min(8, n - 8 * b, m - r)
-        # echelon basis, highest leading bit first: [lead, value, mask of
-        # the source rows whose XOR gives that value]
-        basis = []
+        # reduced basis: each leading bit maps to [value, mask of the
+        # source rows whose XOR gives that value], and no value holds
+        # another's leading bit
+        basis = {}
         srcs = []
         for v in (np.flatnonzero(holder[1:] >= 0) + 1).tolist():
             x, c = v, 0
-            for lead, bv, bc in basis:
+            for lead, (bv, bc) in basis.items():
                 if x >> lead & 1:
                     x ^= bv
                     c ^= bc
             if x:
-                basis.append([x.bit_length() - 1, x, c ^ 1 << len(srcs)])
-                basis.sort(reverse=True)
+                lead, c = x.bit_length() - 1, c ^ 1 << len(srcs)
+                for entry in basis.values():
+                    if entry[0] >> lead & 1:
+                        entry[0] ^= x
+                        entry[1] ^= c
+                basis[lead] = [x, c]
                 srcs.append(r + int(holder[v]))
                 if len(srcs) == limit:
                     break
         if not srcs:
             continue
-        # clear each leading bit from the basis vectors above it
-        for i in range(len(basis) - 1, 0, -1):
-            lo, lv, lc = basis[i]
-            for above in basis[:i]:
-                if above[1] >> lo & 1:
-                    above[1] ^= lv
-                    above[2] ^= lc
-        leads = [lead for lead, _, _ in basis]
-        combs = [c for _, _, c in basis]
+        leads = sorted(basis, reverse=True)
+        combs = [basis[lead][1] for lead in leads]
         k = len(srcs)
-        table = np.empty((1 << k, P.shape[1] - b), dtype=np.uint8)
-        table[0] = 0
+        table = np.zeros((1 << k, P.shape[1] - b), dtype=np.uint8)
         for j, s in enumerate(srcs):
             np.bitwise_xor(table[: 1 << j], P[s, b:], out=table[1 << j: 2 << j])
-        # combination for each pattern of leading bits, lowest lead first
-        pattern = np.zeros(1 << k, dtype=np.intp)
-        for j, c in enumerate(reversed(combs)):
-            np.bitwise_xor(pattern[: 1 << j], c, out=pattern[1 << j: 2 << j])
-        mask = sum(1 << lead for lead in leads)
-        lut = pattern[pext[mask]]
-        col = P[:, b]
-        hits = np.flatnonzero(col & mask)
-        P[hits, b:] ^= table[lut[col[hits]]]
+        # combination that clears the leading bits of each byte value; the
+        # combinations are independent, so it is 0 only where none is set
+        lut = np.bitwise_xor.reduce(_BITS[:, leads] * np.array(combs), axis=1)
+        sel = lut[P[:, b]]
+        hits = np.flatnonzero(sel)
+        P[hits, b:] ^= table[sel[hits]]
         # the sources are zero now; rows in r..r+k-1 that are not sources
         # move into the source rows below that block
         out = [i for i in range(r, r + k) if i not in srcs]
-        if out:
-            P[[s for s in srcs if s >= r + k]] = P[out]
+        P[[s for s in srcs if s >= r + k]] = P[out]
         P[r: r + k, b:] = table[combs]
         pivot_cols.extend(8 * b + 7 - lead for lead in leads)
         r += k

@@ -188,15 +188,6 @@ class LdpcCode:
     def rate(self):
         return self.k_info / self.n_code
 
-    def syndrome(self, bits):
-        """Parity of each check for a hard bit vector."""
-        bits = np.asarray(bits)
-        if bits.shape != (self.n_code,):
-            raise ValueError(f"bit vector length {bits.shape} != ({self.n_code},)")
-        ext = np.zeros(self.n_code + 1, dtype=np.uint8)
-        ext[:-1] = bits.astype(np.uint8) & 1
-        return self._parity(ext)
-
     def _parity(self, ext):
         """Parity of each check for 0/1 values ext of length n_code + 1
         whose last entry, the target of the pad slots, is 0."""
@@ -213,11 +204,6 @@ class LdpcCode:
     def __repr__(self):
         return (f"LdpcCode(n_code={self.n_code}, k_info={self.k_info}, "
                 f"n_checks={self.n_checks})")
-
-    @classmethod
-    def from_dense(cls, H):
-        H = np.asarray(H, dtype=np.uint8) & 1
-        return cls(np.argwhere(H), H.shape[1], H.shape[0])
 
     @classmethod
     def from_alist(cls, path):

@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from dmmsim.channel import noise_var
 from dmmsim.gf2 import row_reduce
-from dmmsim.ldpc import LLR_CAP, CodeConstructionError, _edge_arrays, derive_generator
+from dmmsim.ldpc import LLR_CAP, CodeConstructionError, LdpcCode, _edge_arrays, derive_generator
 from dmmsim.modem import POINTS
 
 
@@ -121,6 +121,20 @@ def derive_generator_reference(h_sparse, n_code, k_info):
     gT[piv] = R[:need].take(free, axis=1)
     del R
     return np.ascontiguousarray(gT.T), free
+
+
+def from_dense(H):
+    """The LdpcCode of a dense 0/1 parity-check matrix."""
+    H = np.asarray(H, dtype=np.uint8) & 1
+    return LdpcCode(np.argwhere(H), H.shape[1], H.shape[0])
+
+
+def syndrome(code, bits):
+    """Parity of each check of an LdpcCode for a hard bit vector, by the
+    parity routine of the decoder's convergence test."""
+    ext = np.zeros(code.n_code + 1, dtype=np.uint8)
+    ext[:-1] = np.asarray(bits, dtype=np.uint8) & 1
+    return code._parity(ext)
 
 
 def syndrome_int(H, v):

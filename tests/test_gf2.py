@@ -159,3 +159,27 @@ def test_matches_reference_kernel(M):
     assert R.tobytes() == R_ref.tobytes()
     assert piv == piv_ref
     assert all(type(c) is int for c in piv)
+
+
+@st.composite
+def tall_sparse_matrices(draw):
+    """LDPC-like 0/1 matrices: up to 300 rows, often more than the 256
+    byte values a strip can hold, of 1 to 6 ones each."""
+    m = draw(st.integers(257, 300) | st.integers(1, 300))
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = rng.integers(1, 7, size=m)
+    cols = np.argsort(rng.random((m, n)), axis=1)[:, :6]
+    M = np.zeros((m, n), dtype=np.uint8)
+    take = np.arange(cols.shape[1]) < weight[:, None]
+    M[np.nonzero(take)[0], cols[take]] = 1
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=tall_sparse_matrices())
+def test_matches_reference_kernel_on_tall_sparse(M):
+    P, piv = gf2.row_reduce(np.packbits(M, axis=1), M.shape[1])
+    R_ref, piv_ref = row_reduce_reference(M)
+    assert P.tobytes() == np.packbits(R_ref, axis=1).tobytes()
+    assert piv == piv_ref
