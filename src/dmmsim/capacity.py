@@ -285,11 +285,3 @@ def rate_bound_outer(r1):
         raise ValueError("r1 must lie in (0, 1]")
     return r1 / 4.0
 
-
-def eta_total(r1, r2):
-    """Spectral efficiency of the combined scheme: r1 + r2 bits/symbol."""
-    for name, r in (("r1", r1), ("r2", r2)):
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1)")
-    return r1 + r2
-

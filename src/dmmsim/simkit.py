@@ -88,14 +88,6 @@ def _check_frame_index(frame_index):
         raise ConfigError(f"frame_index must be an integer in [0, 2**61), got {frame_index!r}")
 
 
-def _resolve_esn0(cfg, esn0_db):
-    if esn0_db is not None:
-        return _check_esn0(esn0_db, "esn0_db", frame=True)
-    if len(cfg.esn0_grid_db) != 1:
-        raise ConfigError("esn0_db is required when the grid has several points")
-    return cfg.esn0_grid_db[0]
-
-
 def _frame_bits(cfg, frame_index, domain, k):
     return frame_stream(cfg.seed, frame_index, domain).integers(0, 2, k, dtype=np.uint8)
 
@@ -144,7 +136,7 @@ def _inner_receive(cfg, y1, sigma2_dim):
     return llr_inner, hard[cfg.inner.info_positions], iters, conv
 
 
-def run_frame(cfg, frame_index, esn0_db=None):
+def run_frame(cfg, frame_index, esn0_db):
     """One full transmit/receive cycle; decoding failure is data, not error.
 
     The received sequence is stored once (``received``) and consumed by
@@ -153,7 +145,7 @@ def run_frame(cfg, frame_index, esn0_db=None):
     derotating by them.
     """
     _check_frame_index(frame_index)
-    esn0_db = _resolve_esn0(cfg, esn0_db)
+    esn0_db = _check_esn0(esn0_db, "esn0_db", frame=True)
     sigma2_dim, c1, v1, c2, v2, y = _dmm_front_end(cfg, frame_index, esn0_db)
     llr_outer, c2_hat, v2_hat, it2, conv2 = _outer_stage(cfg, y, sigma2_dim)
     llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), sigma2_dim)
@@ -177,12 +169,12 @@ def run_frame(cfg, frame_index, esn0_db=None):
     )
 
 
-def run_baseline_frame(cfg, frame_index, esn0_db=None):
+def run_baseline_frame(cfg, frame_index, esn0_db):
     """Conventional BPSK with the inner code only, on the same bit and
     noise streams as run_frame; the received sequence equals run_frame's
     received sequence derotated by the true rotation bits, bit-for-bit."""
     _check_frame_index(frame_index)
-    esn0_db = _resolve_esn0(cfg, esn0_db)
+    esn0_db = _check_esn0(esn0_db, "esn0_db", frame=True)
     sigma2_dim, c1, v1, y = _bpsk_front_end(cfg, frame_index, esn0_db)
     llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y, sigma2_dim)
     return FrameTrace(
@@ -383,47 +375,37 @@ def _batch_args(cfg, esn0_db, kind, j):
 
 
 def _run_point(cfg, esn0_db, kind):
-    """Accumulate one point's batches in index order until the stopping
-    rule fires; the rule is checked at batch boundaries only."""
-    primary, genie = _tallies(cfg, esn0_db, kind)
-    j = 0
-    while not _stopped(cfg, primary):
-        batch_primary, batch_genie = _run_batch(cfg, *_batch_args(cfg, esn0_db, kind, j))
-        primary += batch_primary
-        genie += batch_genie
-        j += 1
-    return primary, genie
+    """(primary, genie) of one point: the round loop over a one-point grid
+    on one worker, each batch run in-process through ``_run_batch``."""
+    return _run_rounds(cfg, kind, (esn0_db,), 1, lambda w: [_run_batch(cfg, *args) for args in w])[0]
 
 
-def _run_rounds(cfg, kind, workers, pool):
-    """(primary, genie) of every grid point, run on the pool in rounds.
+def _run_rounds(cfg, kind, grid, workers, map_batches):
+    """(primary, genie) of every point of ``grid``, run in rounds; the
+    one loop that merges batch tallies, for every worker count.
 
-    A round maps the next unmerged batch of every open point, in grid
-    order. Only when fewer points than workers are open is the round
-    topped up to ``workers`` with further batches of the open points, by
-    depth, then grid order. Each point merges its results strictly in
-    batch order and checks the stopping rule before each merge, so it
-    counts the frames the serial loop counts; a batch of a point that has
-    stopped is discarded, which only the top-up can produce.
+    A round maps, through ``map_batches``, the first
+    max(open points, ``workers``) unmerged batches of the open points in
+    depth-then-grid order: the next batch of every open point, topped up
+    with further batches only when fewer points than workers are open.
+    Each point merges its results strictly in batch order and checks the
+    stopping rule before each merge, so its tally does not depend on the
+    worker count; a batch of a point that has stopped is discarded, which
+    only the top-up can produce.
     """
-    grid = cfg.esn0_grid_db
     tallies = [_tallies(cfg, esn0, kind) for esn0 in grid]
     merged = [0] * len(grid)  # batches merged so far, per point
     while True:
         open_points = [i for i, (primary, _) in enumerate(tallies) if not _stopped(cfg, primary)]
         if not open_points:
             return tallies
-        window = [(i, _batch_args(cfg, grid[i], kind, merged[i])) for i in open_points]
-        depth = 1
-        while len(window) < workers:
-            extra = [
-                (i, args) for i in open_points if (args := _batch_args(cfg, grid[i], kind, merged[i] + depth))
-            ]
-            if not extra:
-                break
-            window += extra[: workers - len(window)]
-            depth += 1
-        results = pool.map(_pool_batch, [args for _i, args in window])
+        window = [
+            (i, args)
+            for depth in range(workers)
+            for i in open_points
+            if (args := _batch_args(cfg, grid[i], kind, merged[i] + depth))
+        ][: max(len(open_points), workers)]
+        results = map_batches([args for _i, args in window])
         for (i, _args), (batch_primary, batch_genie) in zip(window, results):
             primary, genie = tallies[i]
             if _stopped(cfg, primary):
@@ -434,14 +416,15 @@ def _run_rounds(cfg, kind, workers, pool):
 
 
 def _sweep(cfg, kind, workers):
-    """A SweepResult over the grid: point after point on one worker, in
-    rounds across the grid on a pool of several."""
+    """A SweepResult over the grid. One worker runs the round loop
+    in-process, point after point (one ``_run_point`` each); several run
+    it once over the whole grid on a process pool."""
     check_workers(workers)
     if workers == 1:
         tallies = [_run_point(cfg, esn0, kind) for esn0 in cfg.esn0_grid_db]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,)) as pool:
-            tallies = _run_rounds(cfg, kind, workers, pool)
+            tallies = _run_rounds(cfg, kind, cfg.esn0_grid_db, workers, lambda w: pool.map(_pool_batch, w))
     points = [GeniePoint(*pair) if kind == "pair" else pair[0] for pair in tallies]
     return SweepResult(mode=kind, eta=_eta(cfg, kind), points=points)
 

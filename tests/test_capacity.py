@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 from dmmsim import capacity
 from dmmsim.capacity import (
     esn0_at_mi,
-    eta_total,
     mi_bpsk,
     mi_grid,
     mi_qpsk,
@@ -327,16 +326,6 @@ def test_rate_bound_outer():
         rate_bound_outer(0.0)
     with pytest.raises(ValueError):
         rate_bound_outer(1.2)
-
-
-def test_eta_total():
-    assert eta_total(1 / 2, 1 / 12) == pytest.approx(7 / 12)
-    assert eta_total(1 / 3, 1 / 12) == pytest.approx(5 / 12)
-    assert eta_total(0.4, 1e-9) == pytest.approx(0.4, abs=1e-8)
-    with pytest.raises(ValueError):
-        eta_total(0.0, 0.5)
-    with pytest.raises(ValueError):
-        eta_total(0.5, 1.0)
 
 
 def test_write_mi_csv_deterministic(tmp_path):

@@ -4,6 +4,7 @@ scalar field, and the frame floor guards every Es/N0 a frame runs at."""
 import json
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,7 @@ from dmmsim.config import (
     config_to_dict,
     load_config,
 )
+from dmmsim.ldpc import LdpcCode
 from dmmsim.simkit import run_baseline_frame, run_frame
 from test_simkit import small_config
 
@@ -92,12 +94,21 @@ def test_infinite_noise_power_rejected(esn0_db):
             run(cfg, 0, esn0_db=esn0_db)
 
 
+def test_eta_total():
+    # the information bits per symbol of the two streams: R1 + R2
+    assert small_config().eta == pytest.approx(7 / 12)
+    third = small_config(inner=LdpcCode.random_regular(96, 3, 2, seed=5))
+    assert third.r1 == pytest.approx(1 / 3) and third.eta == pytest.approx(5 / 12)
+    # a rate no desk-sized code reaches, through the property itself
+    assert SystemConfig.eta.fget(SimpleNamespace(r1=0.4, r2=1e-9)) == pytest.approx(0.4, abs=1e-8)
+
+
 def test_frames_run_at_the_floor():
     # warnings are errors, so an overflow in the demappers fails this
     cfg = small_config(esn0_grid_db=(FRAME_ESN0_MIN_DB,))
     for fi in range(4):
-        assert run_frame(cfg, fi).esn0_db == FRAME_ESN0_MIN_DB
-        run_baseline_frame(cfg, fi)
+        assert run_frame(cfg, fi, FRAME_ESN0_MIN_DB).esn0_db == FRAME_ESN0_MIN_DB
+        run_baseline_frame(cfg, fi, FRAME_ESN0_MIN_DB)
 
 
 def test_integer_beyond_float_range_rejected():

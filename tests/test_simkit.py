@@ -87,7 +87,7 @@ def test_config_invariants():
 def test_noiseless_roundtrip():
     cfg = small_config(esn0_grid_db=(math.inf,))
     for fi in range(5):
-        t = run_frame(cfg, fi)
+        t = run_frame(cfg, fi, math.inf)
         assert np.array_equal(t.c1_hat, t.c1)
         assert np.array_equal(t.c2_hat, t.c2)
         assert np.array_equal(t.v2_hat, t.v2)
@@ -125,10 +125,11 @@ def test_frame_above_the_noiseless_threshold_is_noiseless(run, esn0_db):
 @pytest.mark.parametrize("run", [run_frame, run_baseline_frame])
 def test_frame_index_checked(run):
     cfg = small_config()
-    assert run(cfg, 2**61 - 1).frame_index == 2**61 - 1
+    (esn0_db,) = cfg.esn0_grid_db
+    assert run(cfg, 2**61 - 1, esn0_db).frame_index == 2**61 - 1
     for frame_index in (True, -1, np.int64(3), 2**61, 2**62, 1.5, None):
         with pytest.raises(ConfigError, match="frame_index"):
-            run(cfg, frame_index)
+            run(cfg, frame_index, esn0_db)
 
 
 def test_last_frame_streams_stay_below_the_code_stream():
@@ -200,7 +201,7 @@ def test_received_sequence_used_twice():
 
 def test_symbols_follow_mapping():
     cfg = small_config(esn0_grid_db=(math.inf,))
-    t = run_frame(cfg, 1)
+    t = run_frame(cfg, 1, math.inf)
     pts = POINTS
     want = np.array([pts[2 * int(a) + int(b)] for a, b in zip(t.v1, t.v2)])
     assert np.array_equal(t.received, want)  # noiseless
@@ -287,6 +288,63 @@ def pooled_configs(draw):
 def test_grid_results_invariant_to_workers(cfg):
     for run in (run_sweep, run_bpsk_baseline, run_genie_compare):
         assert run(cfg, workers=1) == run(cfg, workers=2)
+
+
+_ROUND_CFG = small_config()
+_FRAME_TALLIES = {}  # (esn0_db, kind, frame index) -> _run_batch of that one frame
+_real_run_batch = simkit._run_batch
+
+
+def _batch_of_memoized_frames(cfg, esn0_db, kind, lo, hi):
+    """``_run_batch`` of _ROUND_CFG's codes and seed, summed from one-frame
+    batches that are each run once per session; only the stopping fields
+    vary between examples, and they do not change a frame."""
+    primary, genie = simkit._tallies(cfg, esn0_db, kind)
+    for fi in range(lo, hi):
+        key = (esn0_db, kind, fi)
+        if key not in _FRAME_TALLIES:
+            _FRAME_TALLIES[key] = _real_run_batch(cfg, esn0_db, kind, fi, fi + 1)
+        primary += _FRAME_TALLIES[key][0]
+        genie += _FRAME_TALLIES[key][1]
+    return primary, genie
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    draws=st.lists(st.sampled_from((-10.0, -1.0, 12.0)), min_size=1, max_size=5),
+    batch_frames=st.integers(1, 4),
+    max_frames=st.integers(1, 12),
+    min_frame_errors=st.integers(1, 6),
+    workers=st.integers(2, 5),
+    kind=st.sampled_from(("dmm", "baseline", "pair")),
+)
+def test_round_schedule(draws, batch_frames, max_frames, min_frame_errors, workers, kind):
+    # The pool's round loop, driven in-process by a mapper that records
+    # each round's window. Every grid entry is its own float object, so a
+    # mapped batch names its point by identity even where two points
+    # share an Es/N0.
+    cfg = replace(_ROUND_CFG, batch_frames=batch_frames, max_frames=max_frames, min_frame_errors=min_frame_errors)
+    grid = tuple(v + 0.0 for v in draws)
+    point = {id(v): i for i, v in enumerate(grid)}
+    windows = []
+
+    def recording_map(window):
+        windows.append([(point[id(esn0_db)], lo) for esn0_db, _kind, lo, _hi in window])
+        return [_batch_of_memoized_frames(cfg, *args) for args in window]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simkit, "_run_batch", _batch_of_memoized_frames)
+        tallies = simkit._run_rounds(cfg, kind, grid, workers, recording_map)
+        assert tallies == [simkit._run_point(cfg, esn0_db, kind) for esn0_db in grid]
+    for i, (primary, _genie) in enumerate(tallies):
+        los = [lo for window in windows for j, lo in window if j == i]
+        # each batch mapped once, in index order, from frame 0
+        assert los == list(range(0, batch_frames * len(los), batch_frames))
+        # the batches merged are those that cover the counted frames
+        assert 0 <= len(los) - math.ceil(primary.frames / batch_frames) <= workers - 1
+    for r, window in enumerate(windows):
+        # a point that maps in this round or later was open at its start
+        assert len(window) >= len({i for later in windows[r:] for i, _lo in later})
 
 
 def tally_of(esn0_db, eta, traces):

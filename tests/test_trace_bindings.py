@@ -3,7 +3,8 @@ where the calling module binds them. Each one must still be there, so a
 refactor that renames or moves one fails here, not only in a traced run.
 The file is read, never changed. The tracer counts the frames a pool
 computes in ``ProcessPoolExecutor.map`` alone, so the pool contract is
-pinned here too, as are the point attributes the benchmark's workloads
+pinned here too, as is the one-worker path through ``_run_point`` and
+``_run_batch``, and the point attributes the benchmark's workloads
 (perfbench/workloads.py, also read only) take their counters from, and
 the package's public names."""
 
@@ -67,6 +68,29 @@ def test_capacity_calls_mi_functions_at_call_time(monkeypatch):
     capacity.esn0_at_mi(0.5, "bpsk")
     capacity.esn0_at_mi(0.5, "qpsk")
     assert calls["mi_bpsk"] > 2 and calls["mi_qpsk"] > 3
+
+
+@pytest.mark.parametrize("run", [simkit.run_sweep, simkit.run_genie_compare])
+def test_serial_sweep_calls_point_and_batch_at_call_time(monkeypatch, run):
+    # On one worker the simkit.point and simkit.batch spans count calls
+    # through the module globals, and simkit.frames_computed sums the
+    # frames of the batch spans: one point call per grid point, one batch
+    # call per merged batch.
+    calls = {"_run_point": [], "_run_batch": []}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(simkit, name)):
+            calls[_name].append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(simkit, name, counted)
+    grid = (-10.0, -1.0, 12.0)
+    cfg = small_config(esn0_grid_db=grid, batch_frames=4, max_frames=10, min_frame_errors=3)
+    frames = [getattr(p, "affected", p).frames for p in run(cfg).points]
+    assert [esn0_db for _cfg, esn0_db, _kind in calls["_run_point"]] == list(grid)
+    batches = [[(lo, hi) for _cfg, esn0_db, _kind, lo, hi in calls["_run_batch"] if esn0_db == e] for e in grid]
+    for n, point_batches in zip(frames, batches):
+        assert point_batches == [(lo, min(lo + 4, n)) for lo in range(0, n, 4)]
+    assert 10 in frames and sum(hi - lo for *_, lo, hi in calls["_run_batch"]) == sum(frames)
 
 
 def _stored_counters(p):
