@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import noise_var
+from .channel import ebn0_from_esn0, noise_var
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class MiPoint:
 
 
 def _mi_point(esn0_db, mi):
-    ebn0 = esn0_db - 10.0 * math.log10(mi) if mi > 0 else math.inf
+    ebn0 = ebn0_from_esn0(esn0_db, mi) if mi > 0 else math.inf
     return MiPoint(esn0_db, mi, ebn0)
 
 

@@ -43,7 +43,8 @@ def noise_var(esn0_db):
 def philox(seed, stream_id=0):
     """The reproducible generator of one (seed, stream_id) pair."""
     for name, v in (("seed", seed), ("stream_id", stream_id)):
-        if not isinstance(v, int) or not 0 <= v < 2**64:
+        # bool is a subclass of int, but True is not seed 1
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**64:
             raise ValueError(f"{name} must be an integer in [0, 2**64)")
     # as a list, a seed of 2**63 or more makes numpy round the key through float64
     key = np.array([seed, stream_id], dtype=np.uint64)

@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ldpc import CodeConstructionError, LdpcCode, RepetitionCode
+from .ldpc import CodeConstructionError, LdpcCode, RepetitionCode, _is_int
 
 
 class ConfigError(ValueError):
@@ -20,11 +20,6 @@ class ConfigError(ValueError):
 
 # Largest number of points an Es/N0 grid may hold, from a config file or a --grid.
 MAX_GRID_POINTS = 10_000
-
-
-def _is_int(v):
-    # bool is a subclass of int, but a JSON true is not a count
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_real(v):
@@ -163,9 +158,7 @@ def _build_code(entry, base_dir, where):
         if alist:
             where += ".alist"
             _expect(isinstance(entry["alist"], str), f"{where} must be a path string")
-            path = base_dir / entry["alist"]
-            _expect(path.exists(), f"{where}: no such file {path}")
-            return LdpcCode.from_alist(path)
+            return LdpcCode.from_alist(base_dir / entry["alist"])
         for k in keys:
             _expect(_is_int(entry[k]) and entry[k] >= 0, f"{where}.{k} must be a non-negative integer")
         return LdpcCode.random_regular(*(entry[k] for k in keys))

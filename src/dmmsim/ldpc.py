@@ -39,6 +39,11 @@ class CodeConstructionError(ValueError):
     """A parity-check matrix cannot support a valid code."""
 
 
+def _is_int(v):
+    # bool is a subclass of int, but True is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def derive_generator(h_sparse, n_code, k_info):
     """Systematic generator for a parity-check matrix given as (row, col) pairs.
 
@@ -115,6 +120,15 @@ def _edge_arrays(h_sparse, n_code):
     return rows, cols
 
 
+def _edge_order(rows, cols, n_code):
+    """The stable row-major sort order of the edges (rows[i], cols[i]),
+    and the edges that repeat the pair sorted just before them."""
+    key = rows * n_code + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return order, order[1:][key[1:] == key[:-1]]
+
+
 def _alist_lists(toks, pos, degrees):
     """One index list per entry of ``degrees`` from the tokenised lines
     ``toks[pos:]``, and the position after the last one taken. A blank
@@ -141,20 +155,18 @@ class LdpcCode:
         info_positions: columns where info bits appear verbatim.
     """
 
-    def __init__(self, h_sparse, n_code, n_checks=None):
+    def __init__(self, h_sparse, n_code, n_checks):
+        if not (_is_int(n_code) and _is_int(n_checks)):
+            raise CodeConstructionError("n_code and n_checks must be integers")
         _check_length(n_code)
         rows, cols = _edge_arrays(h_sparse, n_code)
-        if n_checks is None:
-            n_checks = int(rows.max()) + 1
         if rows.max() >= n_checks:
             raise CodeConstructionError("row index exceeds n_checks")
-        key = rows * n_code + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        if np.any(key[1:] == key[:-1]):
+        order, dup = _edge_order(rows, cols, n_code)
+        if dup.size:
             raise CodeConstructionError("duplicate (row, col) entries in h_sparse")
-        self.n_code = int(n_code)
-        self.n_checks = int(n_checks)
+        self.n_code = n_code
+        self.n_checks = n_checks
         self.k_info = self.n_code - self.n_checks
         if self.k_info < 1:
             raise CodeConstructionError(
@@ -281,6 +293,9 @@ class LdpcCode:
         it goes straight to the redraw without being built or
         row-reduced; this is always so for an even col_degree at first.
         """
+        # checked before any arithmetic: the four are the origin that manifests write
+        if not (all(map(_is_int, (n_code, row_degree, col_degree, seed))) and 0 <= seed < 2**64):
+            raise CodeConstructionError("length, degrees and seed must be integers, the seed in [0, 2**64)")
         if n_code < 2 or row_degree < 1 or col_degree < 1:
             raise CodeConstructionError("degrees and length must be positive")
         _check_length(n_code)
@@ -288,8 +303,6 @@ class LdpcCode:
             raise CodeConstructionError(
                 f"n_code*col_degree={n_code * col_degree} exceeds MAX_EDGES={MAX_EDGES}"
             )
-        if not (isinstance(seed, int) and 0 <= seed < 2**64):
-            raise CodeConstructionError("seed must be an integer in [0, 2**64)")
         if (n_code * col_degree) % row_degree != 0:
             raise CodeConstructionError(
                 f"n_code*col_degree={n_code * col_degree} not divisible by row_degree={row_degree}"
@@ -304,10 +317,7 @@ class LdpcCode:
         rows = rng.permutation(np.repeat(np.arange(m, dtype=np.int64), row_degree))
         n_edges = rows.size
         for _ in range(1000):
-            key = rows * n_code + cols
-            order = np.argsort(key, kind="stable")
-            key_sorted = key[order]
-            dup = order[1:][key_sorted[1:] == key_sorted[:-1]]
+            _order, dup = _edge_order(rows, cols, n_code)
             if dup.size == 0:
                 break
             partners = rng.integers(0, n_edges, size=dup.size)
@@ -340,8 +350,6 @@ def encode(code, info):
     if info.shape != (code.k_info,):
         raise ValueError(f"info length {info.shape} != ({code.k_info},)")
     sel = (info.astype(np.uint8) & 1).astype(bool)
-    if not sel.any():
-        return np.zeros(code.n_code, dtype=np.uint8)
     packed = np.bitwise_xor.reduce(code._g_packed[sel], axis=0)
     return np.unpackbits(packed)[: code.n_code]
 
@@ -423,8 +431,7 @@ class RepetitionCode:
     rep_factor: int = 1
 
     def __post_init__(self):
-        # bool is a subclass of int, but True is not a repetition count
-        if not isinstance(self.rep_factor, int) or isinstance(self.rep_factor, bool) or self.rep_factor < 1:
+        if not (_is_int(self.rep_factor) and self.rep_factor >= 1):
             raise ValueError("rep_factor must be an integer >= 1")
 
     @property

@@ -46,12 +46,20 @@ def rotate_by_bits(z, bits, inverse=False):
     return np.stack([re, im], axis=-1)
 
 
+def _outer_d2(y):
+    """Squared distances of y to the four POINTS, in order, each from the
+    two coordinates x-term first: bit for bit the per-point sum over a
+    length-2 axis, as y - 0 is y and y - (-1) is y + 1 in IEEE arithmetic."""
+    y = np.asarray(y, dtype=np.float64)
+    y0, y1 = y[..., 0], y[..., 1]
+    sq0, sq1 = y0**2, y1**2
+    return (y0 - 1.0) ** 2 + sq1, sq0 + (y1 - 1.0) ** 2, (y0 + 1.0) ** 2 + sq1, sq0 + (y1 + 1.0) ** 2
+
+
 def demap_outer_hard(y):
     """Outer bit of the nearest of POINTS (squared Euclidean distance;
     ties resolve to the lowest point index)."""
-    y = np.asarray(y, dtype=np.float64)
-    d2 = ((y[..., None, :] - POINTS) ** 2).sum(axis=-1)
-    idx = np.argmin(d2, axis=-1)
+    idx = np.argmin(np.stack(_outer_d2(y), axis=-1), axis=-1)
     return (idx & 1).astype(np.uint8)
 
 
@@ -61,24 +69,13 @@ def demap_outer_llr(y, sigma2_dim):
     log[(p(y|s1)+p(y|s3)) / (p(y|s2)+p(y|s4))] with independent
     per-dimension Gaussian noise of variance sigma2_dim and equal
     priors; positive favors outer bit 0.
-
-    The squared distances to the four axis points are formed from the
-    two coordinates directly, x-term first, which is bit-for-bit the
-    per-point sum over a length-2 axis: y - 0 is y and y - (-1) is y + 1
-    in IEEE arithmetic.
     """
     # written as what must hold, so that NaN fails the check
     if not sigma2_dim > 0:
         raise ValueError("sigma2_dim must be positive")
-    y = np.asarray(y, dtype=np.float64)
-    y0, y1 = y[..., 0], y[..., 1]
-    sq0, sq1 = y0**2, y1**2
+    d1, d2, d3, d4 = _outer_d2(y)
     s = 2.0 * sigma2_dim
-    e1 = -((y0 - 1.0) ** 2 + sq1) / s
-    e2 = -(sq0 + (y1 - 1.0) ** 2) / s
-    e3 = -((y0 + 1.0) ** 2 + sq1) / s
-    e4 = -(sq0 + (y1 + 1.0) ** 2) / s
-    return np.logaddexp(e1, e3) - np.logaddexp(e2, e4)
+    return np.logaddexp(-d1 / s, -d3 / s) - np.logaddexp(-d2 / s, -d4 / s)
 
 
 def demap_inner_llr(y1, sigma2_dim):

@@ -29,9 +29,10 @@ import numpy as np
 
 from .channel import add_noise, ebn0_from_esn0, noise_var, philox
 # load_config is re-exported: the traced benchmark (perfbench/spans.py) binds simkit.load_config
-from .config import MAX_FRAMES, ConfigError, _check_esn0, _is_int, check_workers, load_config
+from .config import MAX_FRAMES, ConfigError, _check_esn0, check_workers, load_config
 from .ldpc import (
     LLR_CAP,
+    _is_int,
     decode_bp_full,
     encode,
     rep_combine,
@@ -299,10 +300,9 @@ class GeniePoint:
 
 @dataclass
 class SweepResult:
-    """One run over the grid: SweepPoints in mode "dmm" or "baseline",
-    GeniePoints in mode "pair"."""
+    """One run over the grid: SweepPoints of a DMM or BPSK baseline sweep,
+    or GeniePoints of a paired one."""
 
-    mode: str
     eta: float
     points: list
 
@@ -426,7 +426,7 @@ def _sweep(cfg, kind, workers):
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(cfg,)) as pool:
             tallies = _run_rounds(cfg, kind, cfg.esn0_grid_db, workers, lambda w: pool.map(_pool_batch, w))
     points = [GeniePoint(*pair) if kind == "pair" else pair[0] for pair in tallies]
-    return SweepResult(mode=kind, eta=_eta(cfg, kind), points=points)
+    return SweepResult(eta=_eta(cfg, kind), points=points)
 
 
 def run_sweep(cfg, workers=1):

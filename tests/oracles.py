@@ -215,6 +215,16 @@ def demap_outer_llr_reference(y, sigma2_dim):
     return np.logaddexp(e[..., 0], e[..., 2]) - np.logaddexp(e[..., 1], e[..., 3])
 
 
+def nearest_outer_bit(y):
+    """Outer bit of the nearest of the four constellation points, ties to
+    the lowest point index, by an (..., 4, 2) broadcast summed over its
+    last axis: the hard demapper's former body, kept to pin the current
+    one bit for bit."""
+    y = np.asarray(y, dtype=np.float64)
+    d2 = ((y[..., None, :] - POINTS) ** 2).sum(axis=-1)
+    return (np.argmin(d2, axis=-1) & 1).astype(np.uint8)
+
+
 def decode_bp_reference(code, llr, max_iter, early_exit=True):
     """Sum-product decoding on a padded (n_checks, max row degree) edge
     table with cumulative products: the decoder's former kernel, kept to

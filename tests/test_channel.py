@@ -81,7 +81,7 @@ def test_noise_var_overflow_is_the_zero_snr_limit():
 
 
 def test_seeded_rng_validation():
-    for seed, stream_id in ((-1, 0), (0, 2**64), (2**64, 0), (0, -1), (1.0, 0), (0, np.int64(3))):
+    for seed, stream_id in ((-1, 0), (0, 2**64), (2**64, 0), (0, -1), (1.0, 0), (0, np.int64(3)), (True, 0), (0, False)):
         with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*64\)"):
             philox(seed, stream_id)
 

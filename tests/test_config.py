@@ -6,8 +6,9 @@ import math
 from dataclasses import fields
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dmmsim.config import (
@@ -19,7 +20,7 @@ from dmmsim.config import (
     config_to_dict,
     load_config,
 )
-from dmmsim.ldpc import LdpcCode
+from dmmsim.ldpc import LdpcCode, RepetitionCode
 from dmmsim.simkit import run_baseline_frame, run_frame
 from test_simkit import small_config
 
@@ -81,6 +82,45 @@ def test_config_to_dict_inverts_load_config(tmp_path, doc):
         obj, key = entry(want, label)
         obj.setdefault(key, defaults[name])
     assert config_to_dict(load_config(path)) == want
+
+
+@st.composite
+def code_arguments(draw):
+    """(inner, outer base, rep_factor) arguments of the two codes of
+    CODES, with none, one or two of the nine replaced by a value that
+    reads as the same integer but is not a Python int."""
+    args = [*CODES["inner_code"].values(), *CODES["outer_code"]["base"].values(), CODES["outer_code"]["rep_factor"]]
+    for at in draw(st.sets(st.integers(0, len(args) - 1), max_size=2)):
+        args[at] = draw(st.sampled_from([float(args[at]), np.int64(args[at]), str(args[at]), True]))
+    return args[:4], args[4:8], args[8]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(code=code_arguments(), grid=GRIDS, scalar=st.fixed_dictionaries(IN_RANGE))
+@example(code=((96, 6, 3.0, True), (24, 6, 4, 8), 4), grid=[0.0], scalar={})
+@example(code=((np.int64(96), 6, 3, 5), (24, 6, 4, 8), 4), grid=[0.0], scalar={})
+def test_code_built_config_reloads(tmp_path, code, grid, scalar):
+    # a config built in code is refused if a code argument is not a Python
+    # int, and otherwise its document loads back to it
+    inner, base, rep = code
+    ints = all(type(v) is int for v in (*inner, *base, rep))
+    try:
+        cfg = SystemConfig(
+            inner=LdpcCode.random_regular(*inner),
+            outer=RepetitionCode(LdpcCode.random_regular(*base), rep),
+            esn0_grid_db=tuple(grid),
+            **scalar,
+        )
+    except ValueError:  # CodeConstructionError, or RepetitionCode's refusal
+        assert not ints
+        return
+    assert ints
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    back = load_config(path)
+    assert config_to_dict(back) == config_to_dict(cfg)
+    assert back.inner.fingerprint() == cfg.inner.fingerprint()
+    assert back.outer.base.fingerprint() == cfg.outer.base.fingerprint()
 
 
 @pytest.mark.parametrize("esn0_db", [-3100.0, -1e300, -3080.0])

@@ -54,6 +54,14 @@ def test_config_imports_primitives_only():
     assert package_imports("config") <= {"ldpc"}
 
 
+def test_integer_rule_is_defined_once():
+    # "a Python int, not a bool" is one function in ldpc, imported by config and simkit
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
+    defined = sorted(m for m, tree in trees.items()
+                     if any(isinstance(n, ast.FunctionDef) and n.name == "_is_int" for n in ast.walk(tree)))
+    assert defined == ["ldpc"]
+
+
 @pytest.mark.parametrize(
     "module, above",
     [

@@ -482,12 +482,39 @@ def test_rep_roundtrip_with_combining():
 def test_code_rejects_length_above_bound():
     # checked before the dense GF(2) matrices are allocated
     with pytest.raises(CodeConstructionError, match="MAX_CODE_LENGTH"):
-        LdpcCode([(0, 0), (0, 1)], n_code=MAX_CODE_LENGTH + 1)
+        LdpcCode([(0, 0), (0, 1)], n_code=MAX_CODE_LENGTH + 1, n_checks=1)
 
 
 def test_code_rejects_duplicate_entries():
     with pytest.raises(CodeConstructionError, match="duplicate"):
         LdpcCode([(0, 0), (0, 0), (0, 1)], n_code=3, n_checks=1)
+
+
+# Values that equal an integer, or read as one, without being a Python int
+NOT_INTS = st.sampled_from([3.0, 96.0, True, False, "3", np.int64(3), np.int64(96), np.uint8(5), None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=st.dictionaries(st.integers(0, 3), NOT_INTS, min_size=1))
+@example(bad={2: 3.0, 3: True})
+@example(bad={0: np.int64(96)})
+def test_random_regular_refuses_non_int_parameters(bad):
+    # The four parameters are the origin that config_to_dict writes, so
+    # each must be a Python int: a float or bool one would be refused when
+    # the document is loaded, and a numpy one would not serialise to JSON.
+    # They are refused before the first draw.
+    params = [96, 6, 3, 5]
+    for at, v in bad.items():
+        params[at] = v
+    with mock.patch.object(ldpc, "philox", side_effect=AssertionError("drew before refusing")):
+        with pytest.raises(CodeConstructionError, match="must be integers"):
+            LdpcCode.random_regular(*params)
+
+
+@pytest.mark.parametrize("n_code, n_checks", [(4.0, 1), (np.int64(4), 1), (4, 1.0), (4, True), (4, None)])
+def test_code_refuses_non_int_sizes(n_code, n_checks):
+    with pytest.raises(CodeConstructionError, match="must be integers"):
+        LdpcCode([(0, 0), (0, 1)], n_code, n_checks)
 
 
 def test_random_regular_is_deterministic():

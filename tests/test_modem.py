@@ -14,7 +14,7 @@ from dmmsim.modem import (
     map_bpsk,
     rotate_by_bits,
 )
-from oracles import bpsk_llr_density, demap_outer_llr_reference
+from oracles import bpsk_llr_density, demap_outer_llr_reference, nearest_outer_bit
 
 # Symbol coordinates: signed zeros, subnormals, ordinary values and
 # magnitudes up to 1e150, whose squares still fit a float64.
@@ -30,6 +30,15 @@ SYMBOLS = st.one_of(
 ).flatmap(lambda lead: arrays(np.float64, lead + (2,), elements=COORDS))
 
 SIGMA2 = st.floats(1e-6, 1e3)
+
+# One symbol for the hard demapper: one of the four points or the exact
+# midpoint of two of them, a point on a diagonal (two points tie) or any
+# pair of coordinates, at a scale from 1e-300 to 1e3.
+HARD_SYMBOL = st.one_of(
+    st.sampled_from(sorted({tuple((p + q) / 2) for p in POINTS for q in POINTS})),
+    COORDS.flatmap(lambda c: st.sampled_from([(c, c), (c, -c)])),
+    st.tuples(COORDS, COORDS),
+).flatmap(lambda s: st.sampled_from([1e-300, 1e-10, 1.0, 1e3]).map(lambda k: (s[0] * k, s[1] * k)))
 
 
 def test_map_bpsk_values():
@@ -130,6 +139,15 @@ def test_demap_outer_hard_examples():
     assert d2.argmin() == 3
     assert demap_outer_hard(y2) == 1
     assert demap_outer_hard(pts[1]) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=st.one_of(HARD_SYMBOL, st.lists(HARD_SYMBOL, min_size=1, max_size=8)).map(np.array))
+def test_demap_outer_hard_matches_nearest_point_oracle(y):
+    got, want = demap_outer_hard(y), nearest_outer_bit(y)
+    assert type(got) is type(want) and got.dtype == want.dtype == np.uint8
+    assert np.shape(got) == np.shape(want) == y.shape[:-1]
+    assert np.array_equal(got, want)
 
 
 def test_demap_outer_llr_signs_and_zero_diagonal():

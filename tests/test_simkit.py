@@ -417,7 +417,6 @@ def test_baseline_matches_genie_inner_branch():
     cfg = small_config(esn0_grid_db=(-2.0,), max_frames=16, min_frame_errors=1000)
     base = run_bpsk_baseline(cfg)
     assert base.eta == pytest.approx(0.5)
-    assert base.mode == "baseline"
     pb = base.points[0]
     # frame-by-frame: baseline decode equals the genie-derotated decode
     for fi in range(5):
@@ -559,17 +558,17 @@ def test_csv_rows_equal_former_formatters(tmp_path, esn0_db, ebn0_db, branches):
         for a, g in branches
     ]
     out = tmp_path / "rows.csv"
-    write_sweep_csv(SweepResult("dmm", 0.5, [a for a, _g in points]), out)
+    write_sweep_csv(SweepResult(0.5, [a for a, _g in points]), out)
     want = [SWEEP_HEADER_FORMER] + [sweep_row_former(a) for a, _g in former]
     assert out.read_text() == "\n".join(want) + "\n"
-    write_genie_csv(SweepResult("pair", 0.5, [GeniePoint(a, g) for a, g in points]), out)
+    write_genie_csv(SweepResult(0.5, [GeniePoint(a, g) for a, g in points]), out)
     want = [GENIE_HEADER_FORMER] + [genie_row_former(a, g) for a, g in former]
     assert out.read_text() == "\n".join(want) + "\n"
 
 
 def test_manifest_contents(tmp_path):
     cfg = small_config()
-    man = build_manifest(cfg, SweepResult(mode="dmm", eta=cfg.eta, points=[]), "unit-test", [tmp_path / "x.csv"])
+    man = build_manifest(cfg, SweepResult(eta=cfg.eta, points=[]), "unit-test", [tmp_path / "x.csv"])
     assert man["code_fingerprints"]["inner"] == cfg.inner.fingerprint()
     assert man["code_fingerprints"]["outer_base"] == cfg.outer.base.fingerprint()
     assert man["eta"] == pytest.approx(7 / 12)
