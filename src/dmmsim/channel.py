@@ -40,11 +40,16 @@ def noise_var(esn0_db):
     return 0.0 if math.sqrt(sigma2_dim) < _SIG_NOISELESS else sigma2_dim
 
 
+def _is_int(v):
+    """The package's integer rule: a Python int, not a bool."""
+    # bool is a subclass of int, but True is not a count or seed 1
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def philox(seed, stream_id=0):
     """The reproducible generator of one (seed, stream_id) pair."""
     for name, v in (("seed", seed), ("stream_id", stream_id)):
-        # bool is a subclass of int, but True is not seed 1
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**64:
+        if not (_is_int(v) and 0 <= v < 2**64):
             raise ValueError(f"{name} must be an integer in [0, 2**64)")
     # as a list, a seed of 2**63 or more makes numpy round the key through float64
     key = np.array([seed, stream_id], dtype=np.uint64)

@@ -57,8 +57,6 @@ def parse_grid(text):
         count = int(round((stop - start) / step))
         vals = [start + i * step for i in range(count + 1)]
         vals = [v for v in vals if v <= stop + 1e-9]
-    if not vals:
-        raise ConfigError(f"grid {text!r} resolves to no points")
     return tuple(round(_check_esn0(v, "grid entry"), 4) for v in vals)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
-from .channel import philox
+from .channel import _is_int, philox
 
 # Magnitude cap applied to every LLR entering or produced by the decoder.
 LLR_CAP = 30.0
@@ -37,11 +37,6 @@ _CODEGEN_STREAM = 2**63
 
 class CodeConstructionError(ValueError):
     """A parity-check matrix cannot support a valid code."""
-
-
-def _is_int(v):
-    # bool is a subclass of int, but True is not a count
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def derive_generator(h_sparse, n_code, k_info):

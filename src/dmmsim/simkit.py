@@ -27,12 +27,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import add_noise, ebn0_from_esn0, noise_var, philox
+from .channel import _is_int, add_noise, ebn0_from_esn0, noise_var, philox
 # load_config is re-exported: the traced benchmark (perfbench/spans.py) binds simkit.load_config
 from .config import MAX_FRAMES, ConfigError, _check_esn0, check_workers, load_config
 from .ldpc import (
     LLR_CAP,
-    _is_int,
     decode_bp_full,
     encode,
     rep_combine,
@@ -60,6 +59,17 @@ def frame_stream(seed, frame_index, domain):
 
 
 @dataclass
+class LevelTrace:
+    """One decoded level of a frame: the decoder input, the decoded
+    information bits, the iteration count and the convergence flag."""
+
+    llr: np.ndarray
+    info_hat: np.ndarray
+    iters: int
+    converged: bool
+
+
+@dataclass
 class FrameTrace:
     """Every stage of one frame, as produced at the transmitter and receiver.
     The outer fields are None on a baseline frame, which has no outer stream.
@@ -71,17 +81,11 @@ class FrameTrace:
     c1: np.ndarray
     v1: np.ndarray
     received: np.ndarray
-    llr_inner: np.ndarray
-    c1_hat: np.ndarray
-    iters_inner: int
-    converged_inner: bool
+    inner: LevelTrace
     c2: np.ndarray = None
     v2: np.ndarray = None
-    llr_outer: np.ndarray = None
-    c2_hat: np.ndarray = None
     v2_hat: np.ndarray = None
-    iters_outer: int = None
-    converged_outer: bool = None
+    outer: LevelTrace = None
 
 
 def _check_frame_index(frame_index):
@@ -103,71 +107,49 @@ def _bpsk_front_end(cfg, frame_index, esn0_db):
     return sigma2_dim, c1, v1, y1
 
 
-def _dmm_front_end(cfg, frame_index, esn0_db):
-    """The BPSK frame with its observation rotated by the outer code bits."""
-    sigma2_dim, c1, v1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
-    c2 = _frame_bits(cfg, frame_index, DOMAIN_OUTER_BITS, cfg.outer.k_info)
-    v2 = rep_encode(cfg.outer, c2)
-    y = rotate_by_bits(y1, v2)
-    return sigma2_dim, c1, v1, c2, v2, y
-
-
 def _outer_stage(cfg, y, sigma2_dim):
+    """The outer level of a received sequence and the rotation bits it rebuilds."""
     if sigma2_dim > 0:
         llr_sym = demap_outer_llr(y, sigma2_dim)
     else:
         llr_sym = (1.0 - 2.0 * demap_outer_hard(y)) * LLR_CAP
-    llr_outer = rep_combine(cfg.outer, llr_sym)
-    hard_base, _post, iters, conv = decode_bp_full(cfg.outer.base, llr_outer, cfg.max_iter)
+    llr = rep_combine(cfg.outer, llr_sym)
+    hard_base, _post, iters, conv = decode_bp_full(cfg.outer.base, llr, cfg.max_iter)
     c2_hat = hard_base[cfg.outer.base.info_positions]
     # A converged decode has zero syndrome, so hard_base is the codeword
     # its info bits re-encode to; only a failed decode needs the encoder.
     v2_base = hard_base if conv else encode(cfg.outer.base, c2_hat)
-    v2_hat = np.repeat(v2_base, cfg.outer.rep_factor)
-    return llr_outer, c2_hat, v2_hat, iters, conv
+    return LevelTrace(llr, c2_hat, iters, conv), np.repeat(v2_base, cfg.outer.rep_factor)
 
 
 def _inner_receive(cfg, y1, sigma2_dim):
-    """Demap and decode the inner stream of an already derotated sequence."""
+    """The inner level of an already derotated sequence."""
     if sigma2_dim > 0:
-        llr_inner = demap_inner_llr(y1, sigma2_dim)
+        llr = demap_inner_llr(y1, sigma2_dim)
     else:
-        llr_inner = np.sign(y1[..., 0]) * LLR_CAP
-    hard, _post, iters, conv = decode_bp_full(cfg.inner, llr_inner, cfg.max_iter)
-    return llr_inner, hard[cfg.inner.info_positions], iters, conv
+        llr = np.sign(y1[..., 0]) * LLR_CAP
+    hard, _post, iters, conv = decode_bp_full(cfg.inner, llr, cfg.max_iter)
+    return LevelTrace(llr, hard[cfg.inner.info_positions], iters, conv)
 
 
 def run_frame(cfg, frame_index, esn0_db):
     """One full transmit/receive cycle; decoding failure is data, not error.
 
-    The received sequence is stored once (``received``) and consumed by
-    both receiver stages: the outer stream is decoded, its rotation bits
-    ``v2_hat`` are rebuilt, and the inner stream is decoded after
-    derotating by them.
+    The transmitter rotates the BPSK frame's observation by the outer
+    code bits. The received sequence is stored once (``received``) and
+    consumed by both receiver stages: the outer stream is decoded, its
+    rotation bits ``v2_hat`` are rebuilt, and the inner stream is decoded
+    after derotating by them.
     """
     _check_frame_index(frame_index)
     esn0_db = _check_esn0(esn0_db, "esn0_db", frame=True)
-    sigma2_dim, c1, v1, c2, v2, y = _dmm_front_end(cfg, frame_index, esn0_db)
-    llr_outer, c2_hat, v2_hat, it2, conv2 = _outer_stage(cfg, y, sigma2_dim)
-    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), sigma2_dim)
-    return FrameTrace(
-        frame_index=frame_index,
-        esn0_db=esn0_db,
-        c1=c1,
-        v1=v1,
-        received=y,
-        llr_inner=llr_inner,
-        c1_hat=c1_hat,
-        iters_inner=it1,
-        converged_inner=conv1,
-        c2=c2,
-        v2=v2,
-        llr_outer=llr_outer,
-        c2_hat=c2_hat,
-        v2_hat=v2_hat,
-        iters_outer=it2,
-        converged_outer=conv2,
-    )
+    sigma2_dim, c1, v1, y1 = _bpsk_front_end(cfg, frame_index, esn0_db)
+    c2 = _frame_bits(cfg, frame_index, DOMAIN_OUTER_BITS, cfg.outer.k_info)
+    v2 = rep_encode(cfg.outer, c2)
+    y = rotate_by_bits(y1, v2)
+    outer, v2_hat = _outer_stage(cfg, y, sigma2_dim)
+    inner = _inner_receive(cfg, rotate_by_bits(y, v2_hat, inverse=True), sigma2_dim)
+    return FrameTrace(frame_index, esn0_db, c1, v1, y, inner, c2, v2, v2_hat, outer)
 
 
 def run_baseline_frame(cfg, frame_index, esn0_db):
@@ -177,18 +159,7 @@ def run_baseline_frame(cfg, frame_index, esn0_db):
     _check_frame_index(frame_index)
     esn0_db = _check_esn0(esn0_db, "esn0_db", frame=True)
     sigma2_dim, c1, v1, y = _bpsk_front_end(cfg, frame_index, esn0_db)
-    llr_inner, c1_hat, it1, conv1 = _inner_receive(cfg, y, sigma2_dim)
-    return FrameTrace(
-        frame_index=frame_index,
-        esn0_db=esn0_db,
-        c1=c1,
-        v1=v1,
-        received=y,
-        llr_inner=llr_inner,
-        c1_hat=c1_hat,
-        iters_inner=it1,
-        converged_inner=conv1,
-    )
+    return FrameTrace(frame_index, esn0_db, c1, v1, y, _inner_receive(cfg, y, sigma2_dim))
 
 
 # ------------------------------------------------------------------ sweeps
@@ -222,17 +193,17 @@ class SweepPoint:
     iters_outer_sum: int = 0
 
     def add_frame(self, trace):
-        """Count one FrameTrace; a baseline frame (``c2`` None) has no outer stream."""
-        errs = int(np.count_nonzero(trace.c1 != trace.c1_hat))
+        """Count one FrameTrace; a baseline frame (``outer`` None) has no outer stream."""
+        errs = int(np.count_nonzero(trace.c1 != trace.inner.info_hat))
         self.frames += 1
         self.errs_inner += errs
         self.bits_inner += trace.c1.size
-        self.iters_inner_sum += trace.iters_inner
-        if trace.c2 is not None:
-            errs_outer = int(np.count_nonzero(trace.c2 != trace.c2_hat))
+        self.iters_inner_sum += trace.inner.iters
+        if trace.outer is not None:
+            errs_outer = int(np.count_nonzero(trace.c2 != trace.outer.info_hat))
             self.errs_outer += errs_outer
             self.bits_outer += trace.c2.size
-            self.iters_outer_sum += trace.iters_outer
+            self.iters_outer_sum += trace.outer.iters
             errs += errs_outer
         self.frame_errors += 1 if errs else 0
 
@@ -339,8 +310,7 @@ def _pair_frame(cfg, frame_index, esn0_db, affected, genie):
     affected.add_frame(t)
     if not np.array_equal(t.v2_hat, t.v2):
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
-        llr_inner, c1_hat, iters, conv = _inner_receive(cfg, y1, noise_var(esn0_db))
-        t = replace(t, llr_inner=llr_inner, c1_hat=c1_hat, iters_inner=iters, converged_inner=conv)
+        t = replace(t, inner=_inner_receive(cfg, y1, noise_var(esn0_db)))
     genie.add_frame(t)
 
 

@@ -77,7 +77,7 @@ def test_genie_llr_identity(desk_cfg, capsys):
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
         if (
             y1.tobytes() == b.received.tobytes()
-            and demap_inner_llr(y1, s2d).tobytes() == b.llr_inner.tobytes()
+            and demap_inner_llr(y1, s2d).tobytes() == b.inner.llr.tobytes()
             and np.array_equal(t.c1, b.c1)
         ):
             same += 1

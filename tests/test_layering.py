@@ -54,12 +54,28 @@ def test_config_imports_primitives_only():
     assert package_imports("config") <= {"ldpc"}
 
 
+def _tests_for_bool(call):
+    """Whether an ast.Call is isinstance(..., bool), bool alone or in a tuple."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance" and len(call.args) == 2):
+        return False
+    kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else [call.args[1]]
+    return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+
+
 def test_integer_rule_is_defined_once():
-    # "a Python int, not a bool" is one function in ldpc, imported by config and simkit
+    # "a Python int, not a bool" is one function in channel, the bottom
+    # layer; every other module calls it rather than testing for bool itself
     trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
     defined = sorted(m for m, tree in trees.items()
                      if any(isinstance(n, ast.FunctionDef) and n.name == "_is_int" for n in ast.walk(tree)))
-    assert defined == ["ldpc"]
+    assert defined == ["channel"]
+    bool_tests = sorted(
+        (m, f.name)
+        for m, tree in trees.items()
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and any(isinstance(c, ast.Call) and _tests_for_bool(c) for c in ast.walk(f))
+    )
+    assert bool_tests == [("channel", "_is_int")]
 
 
 @pytest.mark.parametrize(

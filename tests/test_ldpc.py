@@ -490,6 +490,23 @@ def test_code_rejects_duplicate_entries():
         LdpcCode([(0, 0), (0, 0), (0, 1)], n_code=3, n_checks=1)
 
 
+@pytest.mark.parametrize(
+    "h_sparse, n_code, n_checks, message",
+    [
+        ([], 3, 1, "non-empty"),
+        (np.zeros((0, 2), dtype=np.int64), 3, 1, "non-empty"),
+        ([(0, 0), (-1, 1)], 3, 1, "out of range"),
+        ([(0, 0), (0, -1)], 3, 1, "out of range"),
+        ([(0, 0), (0, 3)], 3, 1, "out of range"),
+        ([(0, 0), (1, 1)], 3, 1, "row index exceeds n_checks"),
+        ([(0, 0), (1, 1)], 2, 2, "leaves no information bits"),
+    ],
+)
+def test_code_refuses_bad_matrix(h_sparse, n_code, n_checks, message):
+    with pytest.raises(CodeConstructionError, match=message):
+        LdpcCode(h_sparse, n_code, n_checks)
+
+
 # Values that equal an integer, or read as one, without being a Python int
 NOT_INTS = st.sampled_from([3.0, 96.0, True, False, "3", np.int64(3), np.int64(96), np.uint8(5), None])
 
@@ -638,6 +655,27 @@ def test_random_regular_validation():
         LdpcCode.random_regular(MAX_CODE_LENGTH, MAX_CODE_LENGTH, MAX_CODE_LENGTH - 1, seed=0)
 
 
+def test_random_regular_duplicate_repair_is_bounded(monkeypatch):
+    # a graph whose duplicate edges never separate ends in an error, not a hang
+    monkeypatch.setattr(ldpc, "_edge_order", lambda rows, cols, n_code: (np.arange(rows.size), np.array([0])))
+    with pytest.raises(CodeConstructionError, match="could not separate duplicate edges"):
+        LdpcCode.random_regular(96, 6, 3, seed=5)
+
+
+def test_random_regular_rank_repair_is_bounded(monkeypatch):
+    # a graph that never reaches full rank ends in an error after its redraws
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise CodeConstructionError("rank deficient")
+
+    monkeypatch.setattr(ldpc, "derive_generator", refuse)
+    with pytest.raises(CodeConstructionError, match="failed to reach full rank"):
+        LdpcCode.random_regular(96, 6, 3, seed=5)
+    assert 0 < len(calls) <= 60
+
+
 # -------------------------------------------------------------------- alist
 
 
@@ -718,6 +756,45 @@ def test_alist_malformed(tmp_path):
     for p in (p6, tmp_path):
         with pytest.raises(CodeConstructionError, match="cannot read alist"):
             LdpcCode.from_alist(p)
+
+
+def _hamming_alist_with(at, line):
+    """ALIST_HAMMING with its line ``at`` replaced, or cut there if ``line`` is None."""
+    lines = ALIST_HAMMING.splitlines()
+    lines = lines[:at] if line is None else lines[:at] + [line] + lines[at + 1:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "at, line, message",
+    [
+        (3, "4 4 4 0", "degree list lengths disagree"),
+        (1, "2 4", "degree exceeds declared maximum"),
+        (7, None, "column lists truncated"),
+        (4, "1", "column 0 lists 1 rows, expected 2"),
+        (11, "1 2 3 9", "row 0 column index 9 out of range"),
+    ],
+)
+def test_alist_refusals(tmp_path, at, line, message):
+    p = tmp_path / "bad.alist"
+    p.write_text(_hamming_alist_with(at, line))
+    with pytest.raises(CodeConstructionError, match=message):
+        LdpcCode.from_alist(p)
+
+
+def test_alist_blank_lines_between_sections(tmp_path):
+    # blank lines before the column lists and before the row lists are skipped
+    lines = ALIST_HAMMING.splitlines()
+    spaced = lines[:4] + ["", ""] + lines[4:11] + [""] + lines[11:]
+    p = tmp_path / "spaced.alist"
+    p.write_text("\n".join(spaced) + "\n")
+    plain = tmp_path / "plain.alist"
+    plain.write_text(ALIST_HAMMING)
+    assert LdpcCode.from_alist(p).fingerprint() == LdpcCode.from_alist(plain).fingerprint()
+    # the row lists past the blank line are read: a wrong one is refused
+    p.write_text("\n".join(spaced[:-1] + ["1 2 4 6"]) + "\n")
+    with pytest.raises(CodeConstructionError, match="row lists disagree"):
+        LdpcCode.from_alist(p)
 
 
 @st.composite

@@ -88,10 +88,10 @@ def test_noiseless_roundtrip():
     cfg = small_config(esn0_grid_db=(math.inf,))
     for fi in range(5):
         t = run_frame(cfg, fi, math.inf)
-        assert np.array_equal(t.c1_hat, t.c1)
-        assert np.array_equal(t.c2_hat, t.c2)
+        assert np.array_equal(t.inner.info_hat, t.c1)
+        assert np.array_equal(t.outer.info_hat, t.c2)
         assert np.array_equal(t.v2_hat, t.v2)
-        assert t.converged_inner and t.converged_outer
+        assert t.inner.converged and t.outer.converged
 
 
 def _counters(p):
@@ -119,7 +119,7 @@ def test_frame_above_the_noiseless_threshold_is_noiseless(run, esn0_db):
     cfg = small_config()
     t, noiseless = run(cfg, 2, esn0_db), run(cfg, 2, math.inf)
     assert t.received.tobytes() == noiseless.received.tobytes()
-    assert t.llr_inner.tobytes() == noiseless.llr_inner.tobytes()
+    assert t.inner.llr.tobytes() == noiseless.inner.llr.tobytes()
 
 
 @pytest.mark.parametrize("run", [run_frame, run_baseline_frame])
@@ -167,8 +167,8 @@ def test_frame_trace_lengths_consistent():
     assert t.c2.size == cfg.outer.k_info
     assert t.v2.size == cfg.outer.n_code
     assert t.received.shape == (cfg.inner.n_code, 2)
-    assert t.llr_outer.size == cfg.outer.base.n_code
-    assert t.llr_inner.size == cfg.inner.n_code
+    assert t.outer.llr.size == cfg.outer.base.n_code
+    assert t.inner.llr.size == cfg.inner.n_code
 
 
 def test_genie_equivalence_llr_bit_identical():
@@ -181,7 +181,7 @@ def test_genie_equivalence_llr_bit_identical():
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
         assert y1.tobytes() == b.received.tobytes()
-        assert demap_inner_llr(y1, s2d).tobytes() == b.llr_inner.tobytes()
+        assert demap_inner_llr(y1, s2d).tobytes() == b.inner.llr.tobytes()
         assert np.array_equal(t.c1, b.c1)
 
 
@@ -193,10 +193,10 @@ def test_received_sequence_used_twice():
     t = run_frame(cfg, 3, esn0_db=-1.0)
     s2d = noise_var(-1.0)
     again_outer = rep_combine(cfg.outer, demap_outer_llr(t.received, s2d))
-    assert np.array_equal(again_outer, t.llr_outer)
+    assert np.array_equal(again_outer, t.outer.llr)
     y1 = rotate_by_bits(t.received, t.v2_hat, inverse=True)
     again_inner = demap_inner_llr(y1, s2d)
-    assert np.array_equal(again_inner, t.llr_inner)
+    assert np.array_equal(again_inner, t.inner.llr)
 
 
 def test_symbols_follow_mapping():
@@ -383,7 +383,7 @@ def test_merged_tally_equals_frame_by_frame_count(grid, max_frames, seed):
                 tally_of(
                     e,
                     base.eta,
-                    [replace(t, c1_hat=b.c1_hat, iters_inner=b.iters_inner) for t, b in zip(dmm[e], bpsk[e])],
+                    [replace(t, inner=b.inner) for t, b in zip(dmm[e], bpsk[e])],
                 ),
             )
             for e in grid
@@ -424,11 +424,11 @@ def test_baseline_matches_genie_inner_branch():
         b = run_baseline_frame(cfg, fi, esn0_db=-2.0)
         y1 = rotate_by_bits(t.received, t.v2, inverse=True)
         assert y1.tobytes() == b.received.tobytes()
-        llr, c1_hat, iters, _conv = simkit._inner_receive(cfg, y1, noise_var(-2.0))
-        assert llr.tobytes() == b.llr_inner.tobytes()
-        assert np.array_equal(c1_hat, b.c1_hat) and iters == b.iters_inner
+        inner = simkit._inner_receive(cfg, y1, noise_var(-2.0))
+        assert inner.llr.tobytes() == b.inner.llr.tobytes()
+        assert np.array_equal(inner.info_hat, b.inner.info_hat) and inner.iters == b.inner.iters
         # a baseline frame has no outer stream
-        assert b.c2 is None and b.v2_hat is None and b.iters_outer is None
+        assert b.c2 is None and b.v2 is None and b.v2_hat is None and b.outer is None
     # and sends unrotated BPSK
     b = run_baseline_frame(cfg, 0, esn0_db=math.inf)
     assert np.array_equal(b.received, map_bpsk(b.v1))
@@ -474,6 +474,34 @@ def test_sweep_genie_branch_equals_bpsk_baseline():
         assert getattr(gp.genie, field) == getattr(base, field)
 
 
+class _Recorder:
+    """Stands in for a SweepPoint and keeps the traces it is given."""
+
+    def __init__(self):
+        self.traces = []
+
+    def add_frame(self, trace):
+        self.traces.append(trace)
+
+
+def test_genie_record_is_the_baseline_inner_record():
+    # The trace that the paired sweep counts on its genie branch carries
+    # the baseline frame's inner level, whether the branch decoded again
+    # (the rebuilt rotation bits were wrong) or shared the receiver's decode.
+    cfg, esn0_db = small_config(), -2.0
+    second_decode = set()
+    for fi in range(16):
+        affected, genie = _Recorder(), _Recorder()
+        simkit._pair_frame(cfg, fi, esn0_db, affected, genie)
+        (t,), (g,) = affected.traces, genie.traces
+        b = run_baseline_frame(cfg, fi, esn0_db).inner
+        assert g.inner.llr.tobytes() == b.llr.tobytes()
+        assert np.array_equal(g.inner.info_hat, b.info_hat)
+        assert (g.inner.iters, g.inner.converged) == (b.iters, b.converged)
+        second_decode.add(g.inner is not t.inner)
+    assert second_decode == {True, False}  # both branches ran
+
+
 def test_rebuilt_rotation_bits_equal_reencode_on_desk_frames():
     # The receiver takes a converged outer decode as the rebuilt codeword
     # and re-encodes only a failed one; both must equal re-encoding always.
@@ -481,11 +509,10 @@ def test_rebuilt_rotation_bits_equal_reencode_on_desk_frames():
     converged = set()
     for esn0_db in (-1.5, -1.0, 0.5):
         for fi in range(24):
-            sigma2_dim, *_, y = simkit._dmm_front_end(cfg, fi, esn0_db)
-            _llr, c2_hat, v2_hat, _iters, conv = simkit._outer_stage(cfg, y, sigma2_dim)
-            always = np.repeat(encode(cfg.outer.base, c2_hat), cfg.outer.rep_factor)
-            assert v2_hat.dtype == always.dtype and np.array_equal(v2_hat, always)
-            converged.add(conv)
+            t = run_frame(cfg, fi, esn0_db)
+            always = np.repeat(encode(cfg.outer.base, t.outer.info_hat), cfg.outer.rep_factor)
+            assert t.v2_hat.dtype == always.dtype and np.array_equal(t.v2_hat, always)
+            converged.add(t.outer.converged)
     assert converged == {True, False}  # both branches ran
 
 
