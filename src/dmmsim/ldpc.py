@@ -195,11 +195,6 @@ class LdpcCode:
     def rate(self):
         return self.k_info / self.n_code
 
-    def _parity(self, ext):
-        """Parity of each check for 0/1 values ext of length n_code + 1
-        whose last entry, the target of the pad slots, is 0."""
-        return np.bitwise_xor.reduce(ext[self._slot_col], axis=0)
-
     def fingerprint(self):
         """Stable hex digest of the parity-check matrix."""
         h = hashlib.sha256()
@@ -364,8 +359,8 @@ def decode_bp_full(code, llr, max_iter, early_exit=True):
     along each check row, and check-to-variable messages are summed per
     variable in row-major edge order, so the result is fixed to the bit.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if not (_is_int(max_iter) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer >= 1")
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (code.n_code,):
         raise ValueError(f"llr length {llr.shape} != ({code.n_code},)")
@@ -374,48 +369,50 @@ def decode_bp_full(code, llr, max_iter, early_exit=True):
     llr = np.clip(llr, -LLR_CAP, LLR_CAP)
     slot_col, pad = code._slot_col, code._pad
     dmax, n = slot_col.shape[0], code.n_code
-    atanh_lim = np.nextafter(1.0, 0.0)
-    # post[n] and hard[n] stay 0: the pad slots' target
-    post = np.zeros(n + 1)
-    hard = np.zeros(n + 1, dtype=np.uint8)
+    post = np.zeros(n + 1)  # post[n] stays 0: the pad slots' target
     post[:n] = llr
     msg = post.take(slot_col)  # variable-to-check, then tanh(msg / 2)
     loo = np.empty_like(msg)  # leave-one-out product, then check-to-variable
+    neg = np.empty(msg.shape, dtype=bool)  # hard bits in the slot layout
     run = np.empty(msg.shape[1])
     msg_rows, loo_rows = list(msg), list(loo)
-    converged = False
-    iters = max_iter
-    for it in range(1, max_iter + 1):
-        np.multiply(msg, 0.5, out=msg)
-        np.tanh(msg, out=msg)
-        if pad is not None:
-            msg[pad] = 1.0
-        # loo[j] = (msg[0] * ... * msg[j-1]) * (msg[dmax-1] * ... * msg[j+1])
-        loo_rows[0].fill(1.0)
-        for j in range(1, dmax):
-            np.multiply(loo_rows[j - 1], msg_rows[j - 1], out=loo_rows[j])
-        np.copyto(run, msg_rows[dmax - 1])
-        for j in range(dmax - 2, -1, -1):
-            np.multiply(loo_rows[j], run, out=loo_rows[j])
-            if j:
-                np.multiply(run, msg_rows[j], out=run)
-        np.clip(loo, -atanh_lim, atanh_lim, out=loo)
-        np.arctanh(loo, out=loo)
-        np.multiply(loo, 2.0, out=loo)
-        np.clip(loo, -LLR_CAP, LLR_CAP, out=loo)
-        np.add(llr, np.bincount(code._ec, weights=loo.take(code._edge_slot), minlength=n),
-               out=post[:n])
-        np.less(post[:n], 0.0, out=hard[:n])
-        if early_exit or it == max_iter:
-            converged = not code._parity(hard).any() and bool(np.all(post[:n] != 0.0))
-            if converged and early_exit:
-                iters = it
-                break
-        if it < max_iter:
+    # A message is capped at LLR_CAP, so a real factor is at most
+    # tanh(LLR_CAP / 2) < 1 and a leave-one-out product reaches +-1 only
+    # from pad slots alone, on a check of degree 1. arctanh(+-1) = +-inf
+    # then clips to +-LLR_CAP, as 2 * arctanh(nextafter(1, 0)) would.
+    with np.errstate(divide="ignore"):
+        for it in range(1, max_iter + 1):
+            np.multiply(msg, 0.5, out=msg)
+            np.tanh(msg, out=msg)
+            if pad is not None:
+                msg[pad] = 1.0
+            # loo[j] = (msg[0] * ... * msg[j-1]) * (msg[dmax-1] * ... * msg[j+1])
+            loo_rows[0].fill(1.0)
+            for j in range(1, dmax):
+                np.multiply(loo_rows[j - 1], msg_rows[j - 1], out=loo_rows[j])
+            np.copyto(run, msg_rows[dmax - 1])
+            for j in range(dmax - 2, -1, -1):
+                np.multiply(loo_rows[j], run, out=loo_rows[j])
+                if j:
+                    np.multiply(run, msg_rows[j], out=run)
+            np.arctanh(loo, out=loo)
+            np.multiply(loo, 2.0, out=loo)
+            np.clip(loo, -LLR_CAP, LLR_CAP, out=loo)
+            np.add(llr, np.bincount(code._ec, weights=loo.take(code._edge_slot), minlength=n),
+                   out=post[:n])
             post.take(slot_col, out=msg, mode="clip")  # indices are in range
+            if early_exit or it == max_iter:
+                # the hard bit of a slot is msg < 0; a pad slot reads
+                # post[n] = 0, so it adds nothing to its check's parity
+                np.less(msg, 0.0, out=neg)
+                converged = (not np.bitwise_xor.reduce(neg, axis=0).any()
+                             and bool(np.all(post[:n] != 0.0)))
+                if (converged and early_exit) or it == max_iter:
+                    break
             np.subtract(msg, loo, out=msg)
             np.clip(msg, -LLR_CAP, LLR_CAP, out=msg)
-    return hard[:n].copy(), post[:n].copy(), iters, converged
+    hard = (post[:n] < 0.0).astype(np.uint8)
+    return hard, post[:n].copy(), it, converged
 
 
 @dataclass(frozen=True)

@@ -130,11 +130,12 @@ def from_dense(H):
 
 
 def syndrome(code, bits):
-    """Parity of each check of an LdpcCode for a hard bit vector, by the
-    parity routine of the decoder's convergence test."""
+    """Parity of each check of an LdpcCode for a hard bit vector: an XOR
+    down each column of the code's check slot layout, whose pad slots
+    read the appended 0."""
     ext = np.zeros(code.n_code + 1, dtype=np.uint8)
     ext[:-1] = np.asarray(bits, dtype=np.uint8) & 1
-    return code._parity(ext)
+    return np.bitwise_xor.reduce(ext[code._slot_col], axis=0)
 
 
 def syndrome_int(H, v):

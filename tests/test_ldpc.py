@@ -325,8 +325,10 @@ def test_decode_input_validation():
     code = hamming_code()
     with pytest.raises(ValueError):
         decode_bp_full(code, np.zeros(6), max_iter=10)
-    with pytest.raises(ValueError):
-        decode_bp_full(code, np.zeros(7), max_iter=0)
+    # max_iter follows the package's integer rule, as config's does
+    for max_iter in (0, -1, True, False, 2.5, 3.0, "3", np.int64(3), None):
+        with pytest.raises(ValueError, match="max_iter"):
+            decode_bp_full(code, np.zeros(7), max_iter=max_iter)
     bad = np.zeros(7)
     bad[3] = np.nan
     with pytest.raises(ValueError):
@@ -377,6 +379,17 @@ def test_decode_matches_reference_kernel_on_degree_one_checks():
             assert_same_decode(code, np.array(llr), 5, early_exit)
 
 
+def test_decode_matches_reference_kernel_on_padded_degree_one_check():
+    # check 2 has degree 1 among checks of degree 3 and 2: its one edge's
+    # leave-one-out product is the pad slots' 1.0, whose arctanh is inf
+    code = from_dense([[1, 1, 0, 1, 0], [0, 1, 1, 0, 0], [0, 0, 0, 0, 1]])
+    assert code._pad is not None
+    for llr in ([1.0, -2.0, 3.0, 0.5, -0.25], [-1.0, 0.0, -40.0, 2.0, 0.0],
+                [LLR_CAP, -LLR_CAP, 1e300, -1e300, LLR_CAP]):
+        for early_exit in (True, False):
+            assert_same_decode(code, np.array(llr), 7, early_exit)
+
+
 @pytest.fixture(scope="module")
 def desk_codes():
     cfg = load_config(DESK_CONFIG)
@@ -393,6 +406,22 @@ def test_decode_matches_reference_kernel_on_desk_codes(desk_codes, esn0_db):
             cw = encode(code, rng.integers(0, 2, code.k_info, dtype=np.uint8))
             y = 1.0 - 2.0 * cw + rng.normal(0.0, np.sqrt(sigma2), code.n_code)
             assert_same_decode(code, 2.0 * y / sigma2, 50, early_exit)
+
+
+@pytest.mark.parametrize("magnitude", [LLR_CAP, 1e300])
+def test_decode_matches_reference_kernel_on_saturated_desk_codes(desk_codes, magnitude):
+    # every message at the cap: the leave-one-out products of these
+    # degree-6 checks come as close to +-1 as they can, 2 * arctanh of
+    # them about 28.4, and no arctanh(+-1) may warn
+    rng = np.random.default_rng(29)
+    for code in desk_codes:
+        cw = encode(code, rng.integers(0, 2, code.k_info, dtype=np.uint8))
+        signs = 1.0 - 2.0 * cw
+        flipped = signs.copy()
+        flipped[rng.choice(code.n_code, code.n_code // 50, replace=False)] *= -1.0
+        for llr in (signs * magnitude, flipped * magnitude):
+            for early_exit in (True, False):
+                assert_same_decode(code, llr, 8, early_exit)
 
 
 # --------------------------------------------------------------- repetition
