@@ -11,6 +11,12 @@ per-axis densities. Below one noise threshold both carry their full bits
 without quadrature; at low Es/N0 the rule is a series in (a/sigma)^2.
 Symbol energy is normalized to 1; only the ratio enters.
 
+The quadrature runs on rows, one row of nodes per value (``_hy_rows``).
+``mi_bpsk`` and ``mi_qpsk`` evaluate one row; ``mi_grid`` groups a whole
+grid by panel count and evaluates it in blocks of rows, bit for bit the
+per-point values, and calls neither function. So a wrapper set on
+``mi_bpsk`` or ``mi_qpsk`` sees the evaluations of ``esn0_at_mi`` only.
+
 ``esn0_at_mi`` finds its root with ``_brentq``, a port of SciPy's
 ``brentq`` that gives the same roots bit for bit, so no module of the
 package imports SciPy.
@@ -43,10 +49,12 @@ def _unit_panels(n_panels):
     """Nodes and weights of n_panels 16-point Gauss-Legendre panels of
     width 1 on [0, n_panels], computed once per panel count (12 to 24)
     and kept: the rule is an eigenvalue problem that costs more than a
-    point. The arrays are shared and must not be written."""
+    point. The arrays are shared, so they are read-only."""
     x, w = np.polynomial.legendre.leggauss(16)
     nodes = (np.arange(n_panels)[:, None] + 0.5 * (x + 1.0)[None, :]).ravel()
-    return nodes, np.tile(0.5 * w, n_panels)
+    weights = np.tile(0.5 * w, n_panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # Bits per axis below which _mi_axis returns 0: the Gaussian-input
@@ -64,6 +72,44 @@ _H_UNIT_NORMAL = 0.5 * math.log2(2.0 * math.pi * math.e)
 _SERIES_D2 = 2e-6
 
 
+def _mi_closed(d):
+    """``_mi_axis(d)`` where it needs no quadrature: 0 below the floor,
+    the low-SNR series below _SERIES_D2, and None elsewhere."""
+    d2 = d * d
+    if d2 / (2.0 * math.log(2.0)) < _MI_FLOOR:
+        return 0.0
+    if d2 < _SERIES_D2:
+        return (d2 / 2.0 - d2 * d2 / 4.0 + d2**3 / 6.0) / math.log(2.0)
+    return None
+
+
+def _window(d):
+    """(lo, n_panels): the window [lo, 12] of ``_hy_rows`` in units of
+    sigma about the positive point, from the axis or 12 sigma below the
+    point, and its number of panels about 1 sigma wide (12 to 24)."""
+    lo = -min(d, 12.0)
+    return lo, math.ceil(12.0 - lo)
+
+
+def _hy_rows(d, lo, n_panels):
+    """H(Y) - log2(sigma) in bits, -2 width sum w f log2 f, for d and its
+    window end lo: two floats, or two (n, 1) columns whose values all
+    take n_panels panels. Each value is one row of 16 n_panels nodes,
+    summed by ``np.vecdot``: the same BLAS dot per row in a block of any
+    height, so a value reads the same bits in a grid as on its own.
+    Returns an (n, 1) column, or a 1-element array for floats."""
+    width = (12.0 - lo) / n_panels
+    u, w = _unit_panels(n_panels)
+    z = lo + width * u
+    f = (np.exp(-0.5 * z * z) + np.exp(-0.5 * (z + 2.0 * d) ** 2)) / (2.0 * math.sqrt(2.0 * math.pi))
+    return -2.0 * width * np.vecdot(f * np.log2(f), w, keepdims=True)
+
+
+def _bits(hy):
+    """Bits per axis from H(Y) - log2(sigma), kept within [0, 1]."""
+    return min(max(hy - _H_UNIT_NORMAL, 0.0), 1.0)
+
+
 def _mi_axis(d):
     """Bits per axis of an equiprobable input +-a in Gaussian noise of
     standard deviation sigma, with d = a / sigma.
@@ -74,26 +120,26 @@ def _mi_axis(d):
     its integral over t >= 0, taken for z in [-min(d, 12), 12] (from the
     axis, or 12 sigma below the point, to 12 sigma above it) on 16-point
     Gauss-Legendre panels about 1 sigma wide: 12 to 24 panels, at most
-    384 nodes. The noise entropy is H(N) = 1/2 log2(2 pi e) + log2(sigma),
-    so the log sigma terms cancel exactly and I = -2 sum w f log2 f -
-    1/2 log2(2 pi e). That difference of two terms near 2.05 bits keeps
-    no digit below about 1e-15 bits, so where d^2 < _SERIES_D2 it returns
-    the low-SNR series (d^2/2 - d^4/4 + d^6/6) / ln 2 instead, and where
-    d^2 / (2 ln 2) < _MI_FLOOR it returns 0.
+    384 nodes (``_hy_rows``). The noise entropy is H(N) = 1/2 log2(2 pi
+    e) + log2(sigma), so the log sigma terms cancel exactly and I = -2
+    sum w f log2 f - 1/2 log2(2 pi e). That difference of two terms near
+    2.05 bits keeps no digit below about 1e-15 bits, so where d^2 <
+    _SERIES_D2 it returns the low-SNR series (d^2/2 - d^4/4 + d^6/6) /
+    ln 2 instead, and where d^2 / (2 ln 2) < _MI_FLOOR it returns 0.
     """
-    d2 = d * d
-    if d2 / (2.0 * math.log(2.0)) < _MI_FLOOR:
-        return 0.0
-    if d2 < _SERIES_D2:
-        return (d2 / 2.0 - d2 * d2 / 4.0 + d2**3 / 6.0) / math.log(2.0)
-    lo = -min(d, 12.0)
-    n_panels = math.ceil(12.0 - lo)
-    width = (12.0 - lo) / n_panels
-    u, w = _unit_panels(n_panels)
-    z = lo + width * u
-    f = (np.exp(-0.5 * z * z) + np.exp(-0.5 * (z + 2.0 * d) ** 2)) / (2.0 * math.sqrt(2.0 * math.pi))
-    hy = -2.0 * width * float(w @ (f * np.log2(f)))
-    return min(max(hy - _H_UNIT_NORMAL, 0.0), 1.0)
+    mi = _mi_closed(d)
+    if mi is None:
+        lo, n_panels = _window(d)
+        mi = _bits(float(_hy_rows(d, lo, n_panels)[0]))
+    return mi
+
+
+def _d_bpsk(s2):
+    return 1.0 / math.sqrt(s2)
+
+
+def _d_qpsk(s2):
+    return math.sqrt(0.5 / s2)
 
 
 def mi_bpsk(esn0_db):
@@ -111,7 +157,7 @@ def mi_bpsk(esn0_db):
     s2 = noise_var(esn0_db)
     if s2 == 0.0:
         return _mi_point(esn0_db, 1.0)
-    return _mi_point(esn0_db, _mi_axis(1.0 / math.sqrt(s2)))
+    return _mi_point(esn0_db, _mi_axis(_d_bpsk(s2)))
 
 
 def mi_qpsk(esn0_db):
@@ -131,17 +177,19 @@ def mi_qpsk(esn0_db):
     s2 = noise_var(esn0_db)
     if s2 == 0.0:
         return _mi_point(esn0_db, 2.0)
-    return _mi_point(esn0_db, 2.0 * _mi_axis(math.sqrt(0.5 / s2)))
+    return _mi_point(esn0_db, 2.0 * _mi_axis(_d_qpsk(s2)))
 
 
 def _mi_function(modulation):
-    """(MI function, its ceiling in bits) for a modulation name. The
-    function is looked up in the module globals on each call, so a
-    wrapper set on the module sees every evaluation."""
+    """(MI function, its ceiling in bits, a / sigma from the noise
+    variance) for a modulation name; the ceiling is also the number of
+    axes. The function is looked up in the module globals on each call,
+    so a wrapper set on the module sees every evaluation of the root
+    search; ``mi_grid`` evaluates by rows and calls neither function."""
     if modulation == "bpsk":
-        return mi_bpsk, 1.0
+        return mi_bpsk, 1.0, _d_bpsk
     if modulation == "qpsk":
-        return mi_qpsk, 2.0
+        return mi_qpsk, 2.0, _d_qpsk
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
@@ -244,7 +292,7 @@ def esn0_at_mi(target_mi, modulation="bpsk"):
             BPSK and 2 for QPSK, or is below top * 1e-300 bits, the least
             MI above the floor of ``_mi_axis`` (about -3000 dB).
     """
-    fn, top = _mi_function(modulation)
+    fn, top, _d = _mi_function(modulation)
     if not 0.0 < target_mi < top:
         raise ValueError(f"target mi must lie in (0, {top})")
     # top is also the number of axes, each floored at _MI_FLOOR bits
@@ -264,10 +312,45 @@ def esn0_at_mi(target_mi, modulation="bpsk"):
     return _brentq(lambda s: ends.pop(s) if s in ends else excess(s), lo, hi, xtol=1e-9)
 
 
+# Rows of one _hy_rows call in mi_grid: 64 rows of at most 384 nodes
+# keep each temporary near 200 KiB, whatever the grid length.
+_GRID_ROWS = 64
+
+
 def mi_grid(esn0_grid_db, modulation="bpsk"):
-    """MiPoint per grid value, in grid order."""
-    fn, _top = _mi_function(modulation)
-    return [fn(float(s)) for s in esn0_grid_db]
+    """MiPoint per grid value, in grid order: bit for bit ``mi_bpsk`` or
+    ``mi_qpsk`` at each value, but with the quadrature points grouped by
+    panel count and evaluated in blocks of at most _GRID_ROWS rows.
+
+    Raises:
+        ValueError: if the modulation is unknown or any value is NaN,
+            before any quadrature.
+    """
+    _fn, axes, d_of = _mi_function(modulation)
+    grid = [float(s) for s in esn0_grid_db]
+    mi = [axes] * len(grid)  # the full bits of the noiseless channel
+    rows = {}  # panel count -> ([grid index, ...], [d, ...], [lo, ...])
+    for i, esn0_db in enumerate(grid):
+        s2 = noise_var(esn0_db)
+        if s2 == 0.0:
+            continue
+        d = d_of(s2)
+        closed = _mi_closed(d)
+        if closed is None:
+            lo, n_panels = _window(d)
+            at, ds, los = rows.setdefault(n_panels, ([], [], []))
+            at.append(i)
+            ds.append(d)
+            los.append(lo)
+        else:
+            mi[i] = axes * closed
+    for n_panels, (at, ds, los) in rows.items():
+        for start in range(0, len(at), _GRID_ROWS):
+            block = slice(start, start + _GRID_ROWS)
+            hy = _hy_rows(np.array(ds[block])[:, None], np.array(los[block])[:, None], n_panels)
+            for i, h in zip(at[block], hy.ravel().tolist()):
+                mi[i] = axes * _bits(h)
+    return [_mi_point(s, m) for s, m in zip(grid, mi)]
 
 
 def rate_bound_outer(r1):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dmmsim.capacity import (
     mi_qpsk,
     rate_bound_outer,
 )
+from dmmsim.config import MAX_GRID_POINTS
 from dmmsim.results import write_mi_csv
 from oracles import mi_bpsk_reference, mi_qpsk_reference
 
@@ -253,6 +255,87 @@ def test_mi_grid_rejects_nan_and_takes_minus_inf(modulation):
     with pytest.raises(ValueError, match="esn0_db.*NaN"):
         mi_grid([0.0, math.nan], modulation)
     assert [p.mi_bits for p in mi_grid([-math.inf], modulation)] == [0.0]
+
+
+# Grid values for the row path: +-inf, both sides of the 1e-300-bit floor
+# (-3001.6 dB BPSK, -2998.6 dB QPSK) and of the noise-variance overflow
+# (-3082.5 dB), the series region (below about -60 dB BPSK, -57 dB
+# QPSK), the noiseless threshold (about 117 dB) and ordinary values.
+GRID_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, 117.0, 116.9, 0.0, -3001.6, -2998.6, -3082.5, -4000.0]),
+    st.floats(-3100.0, -2990.0),
+    st.floats(-70.0, -50.0),
+    st.floats(110.0, 130.0),
+    st.floats(-40.0, 60.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(GRID_VALUES, max_size=120).map(lambda g: g + g[::3]),
+    st.sampled_from(["bpsk", "qpsk"]),
+    st.sampled_from([1, 3, 64]),
+)
+def test_mi_grid_is_the_per_point_value_bit_for_bit(grid, modulation, rows):
+    # the same bits at every block height: each row is its own BLAS dot
+    fn = mi_bpsk if modulation == "bpsk" else mi_qpsk
+    with mock.patch.object(capacity, "_GRID_ROWS", rows):
+        points = mi_grid(grid, modulation)
+    assert [repr(p) for p in points] == [repr(fn(s)) for s in grid]
+
+
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_mi_grid_blocks_a_long_grid_bit_for_bit(modulation):
+    # 601 points of 13 to 15 panels, so every group spans several blocks
+    fn = mi_bpsk if modulation == "bpsk" else mi_qpsk
+    grid = np.linspace(-10.0, 20.0, 601)
+    assert [repr(p) for p in mi_grid(grid, modulation)] == [repr(fn(float(s))) for s in grid]
+
+
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_mi_grid_takes_any_iterable(modulation):
+    assert mi_grid([], modulation) == []
+    values = [-3.0, 0.0, 0.0, 117.5, -math.inf, 7.25]
+    want = mi_grid(values, modulation)
+    assert len(want) == len(values)
+    for grid in (tuple(values), (v for v in values), np.array(values)):
+        assert mi_grid(grid, modulation) == want
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.0, math.nan], [math.nan, 0.0, 1.0], [0.5] * 100 + [math.nan]])
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_mi_grid_rejects_nan_before_any_quadrature(modulation, grid, monkeypatch):
+    def reached(*args):
+        raise AssertionError("quadrature before the NaN check")
+
+    monkeypatch.setattr(capacity, "_hy_rows", reached)
+    with pytest.raises(ValueError, match="esn0_db.*NaN"):
+        mi_grid(grid, modulation)
+
+
+def test_mi_grid_peak_memory_is_bounded():
+    # A grid of MAX_GRID_POINTS values holds its MiPoints (1.2 MiB) and a
+    # few floats per point, and evaluates by blocks of at most 64 rows of
+    # 384 nodes, about 200 KiB a temporary: it peaks at about 2.6 MiB.
+    grid = np.linspace(-10.0, 30.0, MAX_GRID_POINTS).tolist()
+    for modulation in ("bpsk", "qpsk"):
+        mi_grid(grid[:100], modulation)
+        tracemalloc.start()
+        try:
+            mi_grid(grid, modulation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, modulation
+
+
+@pytest.mark.parametrize("n_panels", [12, 18, 24])
+def test_unit_panels_are_read_only(n_panels):
+    nodes, weights = capacity._unit_panels(n_panels)
+    assert nodes.shape == weights.shape == (16 * n_panels,)
+    for shared in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
 
 
 def test_esn0_at_mi_rejects_nan_target():

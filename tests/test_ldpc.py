@@ -637,8 +637,9 @@ def test_generator_digest_frozen(shape):
 def test_load_config_peak_memory_is_bounded():
     # Building both desk codes holds the parity-check matrix, its reduced
     # form and the generator bit-packed, and unpacks the generator only in
-    # bounded row blocks. It peaks at 5.6 MiB, and at 7.4 MiB as the first
-    # call of a fresh process, which also traces about 1.7 MiB of modules
+    # row blocks of 2^18 bits. It peaks at 4.26 MiB on a warm process
+    # (5.33 MiB with blocks of 2^20 bits), and at 5.6 MiB as the first
+    # call of a fresh process, which also traces about 1.3 MiB of modules
     # numpy imports on first use; the former build through dense
     # (n_checks, n_code) byte matrices peaked at 20.7 MiB, and the
     # per-column elimination before it at 30.2 MiB (2-core Xeon host,
@@ -650,6 +651,24 @@ def test_load_config_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10.0 * 2**20
+
+
+def test_derive_generator_peak_memory_is_bounded(desk_codes):
+    # The generator's unpacked row blocks, 2^18 bits and their transposed
+    # pivot columns, stay below the packed matrices: on the desk inner
+    # code a warm call peaks at 3.14 MiB, against 4.22 MiB with blocks of
+    # 2^20 bits, whose temporaries also set the peak resident memory of
+    # a whole CLI run's parent process.
+    inner = desk_codes[0]
+    h_sparse = inner.h_sparse
+    derive_generator(h_sparse, inner.n_code, inner.k_info)
+    tracemalloc.start()
+    try:
+        derive_generator(h_sparse, inner.n_code, inner.k_info)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * 2**20
 
 
 def test_random_regular_skips_all_even_graph(monkeypatch):
