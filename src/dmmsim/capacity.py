@@ -2,20 +2,23 @@
 output entropy minus noise entropy, plus the distance heuristic R1/4
 for the rotation-borne stream's code rate.
 
-Both are sums of one 1-D rule, ``_mi_axis``: the bits per axis of a
-two-point input +-a in Gaussian noise of per-dimension standard
-deviation sigma, integrated in units of sigma on 16-point Gauss-Legendre
-panels. BPSK is one such axis (a = 1); QPSK is two independent ones
-(a = 1/sqrt(2)), since its four-point density is the product of the two
-per-axis densities. Below one noise threshold both carry their full bits
-without quadrature; at low Es/N0 the rule is a series in (a/sigma)^2.
-Symbol energy is normalized to 1; only the ratio enters.
+Both are sums of one 1-D rule: the bits per axis of a two-point input
++-a in Gaussian noise of per-dimension standard deviation sigma,
+integrated in units of sigma on 16-point Gauss-Legendre panels. BPSK is
+one such axis (a = 1); QPSK is two independent ones (a = 1/sqrt(2)),
+since its four-point density is the product of the two per-axis
+densities. ``_MODULATIONS`` holds each modulation's number of axes and
+its d = a / sigma. Symbol energy is normalized to 1; only the ratio
+enters.
 
-The quadrature runs on rows, one row of nodes per value (``_hy_rows``).
-``mi_bpsk`` and ``mi_qpsk`` evaluate one row; ``mi_grid`` groups a whole
-grid by panel count and evaluates it in blocks of rows, bit for bit the
-per-point values, and calls neither function. So a wrapper set on
-``mi_bpsk`` or ``mi_qpsk`` sees the evaluations of ``esn0_at_mi`` only.
+``_route`` decides each Es/N0 value once: the full bits below the
+noiseless threshold of ``noise_var``, 0 below a floor, a series in
+(a/sigma)^2 at low Es/N0, and elsewhere the row of quadrature nodes
+that ``_hy_rows`` evaluates. ``mi_bpsk`` and ``mi_qpsk`` evaluate that
+row on its own; ``mi_grid`` groups a whole grid's rows by panel count
+and evaluates them in blocks, bit for bit the per-point values, and
+calls neither function. So a wrapper set on ``mi_bpsk`` or ``mi_qpsk``
+sees the evaluations of ``esn0_at_mi`` only.
 
 ``esn0_at_mi`` finds its root with ``_brentq``, a port of SciPy's
 ``brentq`` that gives the same roots bit for bit, so no module of the
@@ -57,38 +60,74 @@ def _unit_panels(n_panels):
     return nodes, weights
 
 
-# Bits per axis below which _mi_axis returns 0: the Gaussian-input
-# capacity d^2 / (2 ln 2) bounds the two-point one, so the 0 returned is
-# within this of the truth.
+# Bits per axis below which _route settles 0: the Gaussian-input
+# capacity d^2 / (2 ln 2) bounds the two-point one, so the 0 is within
+# this of the truth.
 _MI_FLOOR = 1e-300
 
 # Entropy in bits of a unit normal, H(N) in units of sigma.
 _H_UNIT_NORMAL = 0.5 * math.log2(2.0 * math.pi * math.e)
 
-# d^2 below which _mi_axis sums its series in d^2 instead of the
+# d^2 below which _route sums its series in d^2 instead of the
 # quadrature: the first omitted term, -5 d^8 / 24 nats, is under 1e-17 of
 # the leading d^2 / 2 there ((5/12) d^6 < 3.4e-18), while the quadrature's
 # absolute error of a few 1e-16 bits is already 3e-10 of the value.
 _SERIES_D2 = 2e-6
 
+# modulation -> (axes, d = a / sigma from the per-dimension noise
+# variance s2); the axes are also the full bits of the noiseless channel
+_MODULATIONS = {
+    "bpsk": (1.0, lambda s2: 1.0 / math.sqrt(s2)),
+    "qpsk": (2.0, lambda s2: math.sqrt(0.5 / s2)),
+}
 
-def _mi_closed(d):
-    """``_mi_axis(d)`` where it needs no quadrature: 0 below the floor,
-    the low-SNR series below _SERIES_D2, and None elsewhere."""
+
+def _modulation(name):
+    """(axes, d from s2), the ``_MODULATIONS`` row of a modulation name."""
+    try:
+        return _MODULATIONS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown modulation {name!r}") from None
+
+
+def _route(esn0_db, axes, d_of):
+    """(bits, None) where MI at Es/N0 (dB) needs no quadrature, else
+    (None, (d, lo, n_panels)): the row of ``_hy_rows`` whose
+    ``axes * _bits`` is the MI, for a modulation of ``axes`` independent
+    axes, each an equiprobable input +-a in Gaussian noise of standard
+    deviation sigma, with d = a / sigma = ``d_of(s2)`` and s2 from
+    ``noise_var``.
+
+    In units of sigma about the positive point, t = d + z, the output
+    density of an axis is f = h / (2 sqrt(2 pi)) with h(z) = exp(-z^2/2)
+    + exp(-(z + 2d)^2/2). It is even in t, so H(Y) - log2(sigma) is twice
+    its integral over t >= 0, taken for z in [lo, 12], lo = -min(d, 12)
+    (from the axis, or 12 sigma below the point, to 12 sigma above it) on
+    n_panels 16-point Gauss-Legendre panels about 1 sigma wide: 12 to 24
+    panels, at most 384 nodes. The noise entropy is H(N) = 1/2 log2(2 pi
+    e) + log2(sigma), so the log sigma terms cancel exactly and I = -2
+    sum w f log2 f - 1/2 log2(2 pi e). That difference of two terms near
+    2.05 bits keeps no digit below about 1e-15 bits, so where d^2 <
+    _SERIES_D2 the bits are the low-SNR series (d^2/2 - d^4/4 + d^6/6) /
+    ln 2 per axis instead, and where d^2 / (2 ln 2) < _MI_FLOOR they are
+    0. Where ``noise_var`` reads 0 the channel carries its full ``axes``
+    bits.
+
+    Raises:
+        ValueError: if esn0_db is NaN.
+        TypeError: if esn0_db is not a real number.
+    """
+    s2 = noise_var(esn0_db)
+    if s2 == 0.0:
+        return axes, None
+    d = d_of(s2)
     d2 = d * d
     if d2 / (2.0 * math.log(2.0)) < _MI_FLOOR:
-        return 0.0
+        return 0.0, None
     if d2 < _SERIES_D2:
-        return (d2 / 2.0 - d2 * d2 / 4.0 + d2**3 / 6.0) / math.log(2.0)
-    return None
-
-
-def _window(d):
-    """(lo, n_panels): the window [lo, 12] of ``_hy_rows`` in units of
-    sigma about the positive point, from the axis or 12 sigma below the
-    point, and its number of panels about 1 sigma wide (12 to 24)."""
+        return axes * ((d2 / 2.0 - d2 * d2 / 4.0 + d2**3 / 6.0) / math.log(2.0)), None
     lo = -min(d, 12.0)
-    return lo, math.ceil(12.0 - lo)
+    return None, (d, lo, math.ceil(12.0 - lo))
 
 
 def _hy_rows(d, lo, n_panels):
@@ -110,54 +149,28 @@ def _bits(hy):
     return min(max(hy - _H_UNIT_NORMAL, 0.0), 1.0)
 
 
-def _mi_axis(d):
-    """Bits per axis of an equiprobable input +-a in Gaussian noise of
-    standard deviation sigma, with d = a / sigma.
-
-    In units of sigma about the positive point, t = d + z, the output
-    density is f = h / (2 sqrt(2 pi)) with h(z) = exp(-z^2/2) +
-    exp(-(z + 2d)^2/2). It is even in t, so H(Y) - log2(sigma) is twice
-    its integral over t >= 0, taken for z in [-min(d, 12), 12] (from the
-    axis, or 12 sigma below the point, to 12 sigma above it) on 16-point
-    Gauss-Legendre panels about 1 sigma wide: 12 to 24 panels, at most
-    384 nodes (``_hy_rows``). The noise entropy is H(N) = 1/2 log2(2 pi
-    e) + log2(sigma), so the log sigma terms cancel exactly and I = -2
-    sum w f log2 f - 1/2 log2(2 pi e). That difference of two terms near
-    2.05 bits keeps no digit below about 1e-15 bits, so where d^2 <
-    _SERIES_D2 it returns the low-SNR series (d^2/2 - d^4/4 + d^6/6) /
-    ln 2 instead, and where d^2 / (2 ln 2) < _MI_FLOOR it returns 0.
-    """
-    mi = _mi_closed(d)
-    if mi is None:
-        lo, n_panels = _window(d)
-        mi = _bits(float(_hy_rows(d, lo, n_panels)[0]))
-    return mi
-
-
-def _d_bpsk(s2):
-    return 1.0 / math.sqrt(s2)
-
-
-def _d_qpsk(s2):
-    return math.sqrt(0.5 / s2)
+def _mi_at(esn0_db, modulation):
+    """The MiPoint of one value: its ``_route``, and its row on its own."""
+    axes, d_of = _MODULATIONS[modulation]
+    mi, row = _route(esn0_db, axes, d_of)
+    if row is not None:
+        mi = axes * _bits(float(_hy_rows(*row)[0]))
+    return _mi_point(esn0_db, mi)
 
 
 def mi_bpsk(esn0_db):
     """Mutual information of equiprobable BPSK at the given Es/N0 (dB):
-    one ``_mi_axis`` with a = 1 and sigma^2 the per-dimension noise
+    one axis of ``_route`` with a = 1 and sigma^2 the per-dimension noise
     variance of ``noise_var``. Where that reads 0, below its noiseless
     threshold (about 117 dB, +inf included), the channel carries the
     full 1 bit without quadrature; at Es/N0 = -inf, and wherever the
-    bound of ``_mi_axis`` puts it below 1e-300 bits (below about
-    -3001.6 dB), it carries 0 bits.
+    bound of ``_route`` puts it below 1e-300 bits (below about -3001.6
+    dB), it carries 0 bits.
 
     Raises:
         ValueError: if esn0_db is NaN.
     """
-    s2 = noise_var(esn0_db)
-    if s2 == 0.0:
-        return _mi_point(esn0_db, 1.0)
-    return _mi_point(esn0_db, _mi_axis(_d_bpsk(s2)))
+    return _mi_at(esn0_db, "bpsk")
 
 
 def mi_qpsk(esn0_db):
@@ -166,31 +179,16 @@ def mi_qpsk(esn0_db):
     The four points (+-a, +-a), a = 1/sqrt(2), in complex noise of
     per-dimension variance sigma^2 = ``noise_var``: the output density is
     the product of two independent per-axis two-Gaussian densities, so
-    the mutual information is exactly 2 ``_mi_axis(a / sigma)``. Where
-    ``noise_var`` reads 0, below its noiseless threshold, the channel
-    carries the full 2 bits without quadrature; at Es/N0 = -inf, and
-    below the bound of ``_mi_axis`` (about -2998.6 dB), it carries 0 bits.
+    the mutual information is exactly twice that of one axis with
+    d = a / sigma, two axes of ``_route``. Where ``noise_var`` reads 0,
+    below its noiseless threshold, the channel carries the full 2 bits
+    without quadrature; at Es/N0 = -inf, and below the bound of
+    ``_route`` (about -2998.6 dB), it carries 0 bits.
 
     Raises:
         ValueError: if esn0_db is NaN.
     """
-    s2 = noise_var(esn0_db)
-    if s2 == 0.0:
-        return _mi_point(esn0_db, 2.0)
-    return _mi_point(esn0_db, 2.0 * _mi_axis(_d_qpsk(s2)))
-
-
-def _mi_function(modulation):
-    """(MI function, its ceiling in bits, a / sigma from the noise
-    variance) for a modulation name; the ceiling is also the number of
-    axes. The function is looked up in the module globals on each call,
-    so a wrapper set on the module sees every evaluation of the root
-    search; ``mi_grid`` evaluates by rows and calls neither function."""
-    if modulation == "bpsk":
-        return mi_bpsk, 1.0, _d_bpsk
-    if modulation == "qpsk":
-        return mi_qpsk, 2.0, _d_qpsk
-    raise ValueError(f"unknown modulation {modulation!r}")
+    return _mi_at(esn0_db, "qpsk")
 
 
 # SciPy's default and smallest relative tolerance of brentq.
@@ -290,14 +288,17 @@ def esn0_at_mi(target_mi, modulation="bpsk"):
     Raises:
         ValueError: if target_mi is not in (0, top), top being 1 bit for
             BPSK and 2 for QPSK, or is below top * 1e-300 bits, the least
-            MI above the floor of ``_mi_axis`` (about -3000 dB).
+            MI above the floor of ``_route`` (about -3000 dB), or if the
+            modulation is unknown.
     """
-    fn, top, _d = _mi_function(modulation)
+    # top is also the number of axes, each floored at _MI_FLOOR bits
+    top, _d_of = _modulation(modulation)
     if not 0.0 < target_mi < top:
         raise ValueError(f"target mi must lie in (0, {top})")
-    # top is also the number of axes, each floored at _MI_FLOOR bits
     if target_mi < top * _MI_FLOOR:
         raise ValueError(f"target mi below {top * _MI_FLOOR:g} bits, the smallest {modulation} reaches")
+    # looked up on each call, so a wrapper set on the module sees every evaluation
+    fn = mi_bpsk if modulation == "bpsk" else mi_qpsk
 
     def excess(esn0_db):
         return fn(esn0_db).mi_bits - target_mi
@@ -319,31 +320,29 @@ _GRID_ROWS = 64
 
 def mi_grid(esn0_grid_db, modulation="bpsk"):
     """MiPoint per grid value, in grid order: bit for bit ``mi_bpsk`` or
-    ``mi_qpsk`` at each value, but with the quadrature points grouped by
-    panel count and evaluated in blocks of at most _GRID_ROWS rows.
+    ``mi_qpsk`` at each value, the same ``_route`` taken, but with the
+    rows grouped by panel count and evaluated in blocks of at most
+    _GRID_ROWS rows.
 
     Raises:
         ValueError: if the modulation is unknown or any value is NaN,
             before any quadrature.
+        TypeError: if any value is not a real number, before any
+            quadrature.
     """
-    _fn, axes, d_of = _mi_function(modulation)
-    grid = [float(s) for s in esn0_grid_db]
-    mi = [axes] * len(grid)  # the full bits of the noiseless channel
+    axes, d_of = _modulation(modulation)
+    grid, mi = [], []
     rows = {}  # panel count -> ([grid index, ...], [d, ...], [lo, ...])
-    for i, esn0_db in enumerate(grid):
-        s2 = noise_var(esn0_db)
-        if s2 == 0.0:
-            continue
-        d = d_of(s2)
-        closed = _mi_closed(d)
-        if closed is None:
-            lo, n_panels = _window(d)
+    for esn0_db in esn0_grid_db:
+        bits, row = _route(esn0_db, axes, d_of)
+        if row is not None:
+            d, lo, n_panels = row
             at, ds, los = rows.setdefault(n_panels, ([], [], []))
-            at.append(i)
+            at.append(len(mi))
             ds.append(d)
             los.append(lo)
-        else:
-            mi[i] = axes * closed
+        grid.append(float(esn0_db))
+        mi.append(bits)
     for n_panels, (at, ds, los) in rows.items():
         for start in range(0, len(at), _GRID_ROWS):
             block = slice(start, start + _GRID_ROWS)

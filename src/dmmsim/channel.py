@@ -33,7 +33,8 @@ def noise_var(esn0_db):
     if math.isnan(esn0_db):
         raise ValueError(f"esn0_db must not be NaN, got {esn0_db!r}")
     try:
-        sigma2_total = 10.0 ** (-esn0_db / 10.0)
+        # math.pow, not **: a numpy scalar's ** overflows to inf with a warning
+        sigma2_total = math.pow(10.0, -esn0_db / 10.0)
     except OverflowError:
         sigma2_total = math.inf
     sigma2_dim = sigma2_total / 2.0

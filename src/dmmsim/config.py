@@ -104,6 +104,9 @@ class SystemConfig:
     batch_frames: int = 256
 
     def __post_init__(self):
+        for name, kind in (("inner", LdpcCode), ("outer", RepetitionCode)):
+            code = getattr(self, name)
+            _expect(isinstance(code, kind), f"{name} must be {kind.__name__}, got {type(code).__name__}")
         if self.inner.n_code != self.outer.n_code:
             raise ConfigError(
                 f"inner code length {self.inner.n_code} != outer encoded length "
@@ -112,13 +115,11 @@ class SystemConfig:
         for name, label, requirement, ok in _FIELD_RULES:
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{label} must be {requirement}")
-        if not self.esn0_grid_db:
-            raise ConfigError("esn0_grid_db must be non-empty")
-        if len(self.esn0_grid_db) > MAX_GRID_POINTS:
-            raise ConfigError(
-                f"esn0_grid_db has {len(self.esn0_grid_db)} points, more than {MAX_GRID_POINTS}"
-            )
-        grid = tuple(_check_esn0(v, "esn0_grid_db entry", frame=True) for v in self.esn0_grid_db)
+        grid = self.esn0_grid_db
+        _expect(isinstance(grid, (list, tuple)), f"esn0_grid_db must be a list or tuple, got {type(grid).__name__}")
+        _expect(grid, "esn0_grid_db must be non-empty")
+        _expect(len(grid) <= MAX_GRID_POINTS, f"esn0_grid_db has {len(grid)} points, more than {MAX_GRID_POINTS}")
+        grid = tuple(_check_esn0(v, "esn0_grid_db entry", frame=True) for v in grid)
         object.__setattr__(self, "esn0_grid_db", grid)
 
     @property
@@ -190,12 +191,11 @@ def load_config(path):
     _expect(_is_int(rep) and rep >= 1, "outer_code.rep_factor must be an integer >= 1")
     outer = RepetitionCode(_build_code(oc["base"], base_dir, "outer_code.base"), rep)
 
-    _expect(isinstance(data["esn0_grid_db"], list), "esn0_grid_db must be a list")
     kwargs = {}
     for section, keys in _LAYOUT.items():
         obj = _object(data.get(section, {}), section, keys) if section else data
         kwargs.update((keys[k], obj[k]) for k in keys.keys() & obj.keys())
-    return SystemConfig(inner=inner, outer=outer, esn0_grid_db=tuple(data["esn0_grid_db"]), **kwargs)
+    return SystemConfig(inner=inner, outer=outer, esn0_grid_db=data["esn0_grid_db"], **kwargs)
 
 
 def config_to_dict(cfg):

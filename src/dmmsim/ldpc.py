@@ -127,18 +127,31 @@ def _edge_order(rows, cols, n_code):
     return order, order[1:][key[1:] == key[:-1]]
 
 
-def _alist_lists(toks, pos, degrees):
-    """One index list per entry of ``degrees`` from the tokenised lines
-    ``toks[pos:]``, and the position after the last one taken. A blank
-    line is the list of a degree-0 entry and is skipped elsewhere; the
-    result is short if the lines run out."""
+def _alist_lists(toks, pos, degrees, bound, section, index):
+    """The 1-based index lists of one alist section, one line per entry
+    of ``degrees`` from the tokenised lines ``toks[pos:]`` with zero
+    padding dropped, and the position after the last one taken. A blank
+    line is the list of a degree-0 entry and is skipped elsewhere. Each
+    list holds as many indices as its degree, each in [1, bound];
+    ``section`` and ``index`` ("column" and "row", or the reverse) name
+    them in errors.
+
+    Raises:
+        CodeConstructionError: if the lines run out or a list breaks a rule.
+    """
     lists = []
-    for d in degrees:
+    for k, d in enumerate(degrees):
         while d > 0 and pos < len(toks) and not toks[pos]:
             pos += 1
         if pos == len(toks):
-            break
-        lists.append(toks[pos])
+            raise CodeConstructionError(f"alist {section} lists truncated")
+        entries = [e for e in toks[pos] if e != 0]
+        if len(entries) != d:
+            raise CodeConstructionError(f"alist {section} {k} lists {len(entries)} {index}s, expected {d}")
+        for e in entries:
+            if not 1 <= e <= bound:
+                raise CodeConstructionError(f"alist {section} {k} {index} index {e} out of range")
+        lists.append(entries)
         pos += 1
     return lists, pos
 
@@ -216,9 +229,11 @@ class LdpcCode:
 
         Expected layout: "n m", "max_col_deg max_row_deg", the n column
         degrees, the m row degrees, then n column lists of 1-based row
-        indices (zero padding tolerated), one a line. Row lists, if
-        present, are cross-checked against the column lists. Blank lines
-        are skipped, except that an unpadded degree-0 list is a blank line.
+        indices (zero padding tolerated), one a line, and optionally the m
+        row lists of 1-based column indices, which must then agree with
+        the column lists; nothing may follow them. The header's row
+        degrees must be those the column lists give. Blank lines are
+        skipped, except that an unpadded degree-0 list is a blank line.
         """
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -242,29 +257,18 @@ class LdpcCode:
             raise CodeConstructionError("alist degree sums disagree")
         if max(col_deg) > dv_max or max(row_deg) > dc_max:
             raise CodeConstructionError("alist degree exceeds declared maximum")
-        col_lists, pos = _alist_lists(toks, head[3] + 1, col_deg)
-        if len(col_lists) < n:
-            raise CodeConstructionError("alist column lists truncated")
-        edges = []
-        for j in range(n):
-            entries = [e for e in col_lists[j] if e != 0]
-            if len(entries) != col_deg[j]:
-                raise CodeConstructionError(
-                    f"alist column {j} lists {len(entries)} rows, expected {col_deg[j]}"
-                )
-            for e in entries:
-                if not 1 <= e <= m:
-                    raise CodeConstructionError(f"alist column {j} row index {e} out of range")
-                edges.append((e - 1, j))
-        row_lists, _ = _alist_lists(toks, pos, row_deg)
-        if len(row_lists) == m:
-            alt = []
-            for i in range(m):
-                entries = [e for e in row_lists[i] if e != 0]
-                for e in entries:
-                    if not 1 <= e <= n:
-                        raise CodeConstructionError(f"alist row {i} column index {e} out of range")
-                    alt.append((i, e - 1))
+        col_lists, pos = _alist_lists(toks, head[3] + 1, col_deg, m, "column", "row")
+        edges = [(e - 1, j) for j, entries in enumerate(col_lists) for e in entries]
+        degrees = [0] * m
+        for i, _j in edges:
+            degrees[i] += 1
+        if degrees != row_deg:
+            raise CodeConstructionError("alist row degrees disagree with column lists")
+        if any(toks[pos:]):
+            row_lists, pos = _alist_lists(toks, pos, row_deg, n, "row", "column")
+            if any(toks[pos:]):
+                raise CodeConstructionError("alist has lines after its row lists")
+            alt = [(i, e - 1) for i, entries in enumerate(row_lists) for e in entries]
             if sorted(alt) != sorted(edges):
                 raise CodeConstructionError("alist row lists disagree with column lists")
         code = cls(edges, n, m)
@@ -426,8 +430,10 @@ class RepetitionCode:
     rep_factor: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.base, LdpcCode):
+            raise CodeConstructionError(f"base must be an LdpcCode, got {type(self.base).__name__}")
         if not (_is_int(self.rep_factor) and self.rep_factor >= 1):
-            raise ValueError("rep_factor must be an integer >= 1")
+            raise CodeConstructionError("rep_factor must be an integer >= 1")
 
     @property
     def n_code(self):

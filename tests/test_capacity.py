@@ -313,6 +313,28 @@ def test_mi_grid_rejects_nan_before_any_quadrature(modulation, grid, monkeypatch
         mi_grid(grid, modulation)
 
 
+@pytest.mark.parametrize("grid", [["1"], [0.0, "1"], [0.5] * 100 + ["1"], [b"1"]])
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_mi_grid_rejects_a_string_before_any_quadrature(modulation, grid, monkeypatch):
+    # as mi_bpsk("1") does: a value is a real number, not a text to parse
+    def reached(*args):
+        raise AssertionError("quadrature before the type check")
+
+    monkeypatch.setattr(capacity, "_hy_rows", reached)
+    with pytest.raises(TypeError):
+        mi_grid(grid, modulation)
+    with pytest.raises(TypeError):
+        (mi_bpsk if modulation == "bpsk" else mi_qpsk)(grid[-1])
+
+
+@pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+def test_mi_grid_takes_numpy_values_below_the_variance_overflow(modulation):
+    # warnings are errors: a numpy scalar's ** would overflow with one
+    values = [-4000.0, -3082.5, -3001.6, 3.0]
+    assert mi_grid(np.array(values), modulation) == mi_grid(values, modulation)
+    assert mi_bpsk(np.float64(-4000.0)).mi_bits == mi_qpsk(np.float64(-4000.0)).mi_bits == 0.0
+
+
 def test_mi_grid_peak_memory_is_bounded():
     # A grid of MAX_GRID_POINTS values holds its MiPoints (1.2 MiB) and a
     # few floats per point, and evaluates by blocks of at most 64 rows of

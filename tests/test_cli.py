@@ -10,6 +10,7 @@ import pytest
 from dmmsim import cli, config, simkit
 from dmmsim.cli import main, parse_grid
 from dmmsim.config import ConfigError
+from test_ldpc import ALIST_CONTRADICTIONS
 
 CONFIG = {
     "inner_code": {"n": 96, "row_degree": 6, "col_degree": 3, "seed": 5},
@@ -389,6 +390,19 @@ def test_unreadable_config_or_alist_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     for needle in needles:
         assert needle in err
+
+
+@pytest.mark.parametrize("case", ALIST_CONTRADICTIONS)
+def test_contradictory_alist_exits_2(tmp_path, capsys, case):
+    text, message = ALIST_CONTRADICTIONS[case]
+    (tmp_path / "bad.alist").write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "inner_code": {"alist": "bad.alist"}}))
+    with pytest.raises(ConfigError, match=message):
+        config.load_config(cfg)
+    assert main(["ber-sweep", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: inner_code.alist: ") and message in err
 
 
 def test_high_ber_is_not_an_error(cfg_path, tmp_path):

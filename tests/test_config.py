@@ -143,6 +143,33 @@ def test_eta_total():
     assert SystemConfig.eta.fget(SimpleNamespace(r1=0.4, r2=1e-9)) == pytest.approx(0.4, abs=1e-8)
 
 
+# SystemConfig fields it cannot run: (field, its value from a valid config, the refusal)
+UNRUNNABLE = {
+    "inner-is-repetition": ("inner", lambda cfg: cfg.outer, "inner must be LdpcCode, got RepetitionCode"),
+    "outer-is-ldpc": ("outer", lambda cfg: cfg.inner, "outer must be RepetitionCode, got LdpcCode"),
+    "grid-is-a-number": ("esn0_grid_db", lambda cfg: 3, "esn0_grid_db must be a list or tuple, got int"),
+    "grid-is-a-dict": ("esn0_grid_db", lambda cfg: {0.5: "x"}, "list or tuple, got dict"),
+    "grid-is-a-1-array": ("esn0_grid_db", lambda cfg: np.array([0.0]), "list or tuple, got ndarray"),
+    "grid-is-a-2-array": ("esn0_grid_db", lambda cfg: np.array([0.0, 1.0]), "list or tuple, got ndarray"),
+}
+
+
+@pytest.mark.parametrize("case", UNRUNNABLE)
+def test_system_config_refuses_what_it_cannot_run(case):
+    # each once built and failed at the first frame, raised a TypeError or
+    # numpy's ValueError, or was read as another grid
+    field, value, message = UNRUNNABLE[case]
+    with pytest.raises(ConfigError, match=message):
+        small_config(**{field: value(small_config())})
+
+
+def test_grid_object_in_a_config_file_is_refused(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CODES, "esn0_grid_db": {"0.5": "x"}}))
+    with pytest.raises(ConfigError, match="esn0_grid_db must be a list or tuple, got dict"):
+        load_config(path)
+
+
 def test_frames_run_at_the_floor():
     # warnings are errors, so an overflow in the demappers fails this
     cfg = small_config(esn0_grid_db=(FRAME_ESN0_MIN_DB,))

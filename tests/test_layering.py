@@ -78,6 +78,29 @@ def test_integer_rule_is_defined_once():
     assert bool_tests == [("channel", "_is_int")]
 
 
+def _calls(node, name):
+    """Whether an ast node calls the function ``name`` anywhere inside it."""
+    return any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == name for c in ast.walk(node))
+
+
+def _tests_for_zero_variance(compare):
+    """Whether an ast.Compare tests a value == or != the float 0.0."""
+    return any(isinstance(op, (ast.Eq, ast.NotEq)) for op in compare.ops) and any(
+        isinstance(v, ast.Constant) and type(v.value) is float and v.value == 0.0
+        for v in (compare.left, *compare.comparators)
+    )
+
+
+def test_capacity_routes_each_value_in_one_function():
+    # the noiseless, floor, series and window decision per Es/N0 value is
+    # _route's alone: no other function of capacity turns an Es/N0 into a
+    # variance or tests that variance for the noiseless channel
+    functions = [f for f in ast.walk(ast.parse((SRC / "capacity.py").read_text())) if isinstance(f, ast.FunctionDef)]
+    assert [f.name for f in functions if _calls(f, "noise_var")] == ["_route"]
+    zero_tests = [f.name for f in functions for c in ast.walk(f) if isinstance(c, ast.Compare) and _tests_for_zero_variance(c)]
+    assert zero_tests == ["_route"]
+
+
 @pytest.mark.parametrize(
     "module, above",
     [

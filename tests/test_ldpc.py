@@ -479,6 +479,18 @@ def test_rep_factor_refuses_bool(flag):
         RepetitionCode(rate_third_base(), rep_factor=flag)
 
 
+@pytest.mark.parametrize("rep_factor", [0, True, 2.0])
+def test_rep_factor_is_a_construction_error(rep_factor):
+    with pytest.raises(CodeConstructionError, match="rep_factor must be an integer >= 1"):
+        RepetitionCode(rate_third_base(), rep_factor=rep_factor)
+
+
+def test_repetition_base_must_be_an_ldpc_code():
+    inner = RepetitionCode(rate_third_base(), rep_factor=2)
+    with pytest.raises(CodeConstructionError, match="base must be an LdpcCode, got RepetitionCode"):
+        RepetitionCode(inner, rep_factor=2)
+
+
 def test_rep_combine_matches_joint_density_llr():
     # For one bit repeated r times over AWGN/BPSK, the LLR given all
     # copies is the sum of per-copy LLRs; check against joint densities.
@@ -826,6 +838,31 @@ def _hamming_alist_with(at, line):
 def test_alist_refusals(tmp_path, at, line, message):
     p = tmp_path / "bad.alist"
     p.write_text(_hamming_alist_with(at, line))
+    with pytest.raises(CodeConstructionError, match=message):
+        LdpcCode.from_alist(p)
+
+
+def _hamming_cols_only_with_row_degrees(limits, degrees):
+    """The column lists of ALIST_HAMMING under a header that declares other row degrees."""
+    lines = ALIST_HAMMING.splitlines()[:11]
+    lines[1], lines[3] = limits, degrees
+    return "\n".join(lines) + "\n"
+
+
+# alist documents that name a matrix their own lines contradict, and the refusal of each
+ALIST_CONTRADICTIONS = {
+    "row-list-dropped": (_hamming_alist_with(13, None), "row lists truncated"),
+    "lines-after-rows": (ALIST_HAMMING + "1 2 3\n4 5\n", "lines after its row lists"),
+    "header-row-degrees": (_hamming_cols_only_with_row_degrees("3 5", "3 4 5"), "row degrees disagree"),
+}
+
+
+@pytest.mark.parametrize("case", ALIST_CONTRADICTIONS)
+def test_alist_refuses_what_its_lines_contradict(tmp_path, case):
+    # each reads as a code if the reader checks only part of what it reads
+    text, message = ALIST_CONTRADICTIONS[case]
+    p = tmp_path / "bad.alist"
+    p.write_text(text)
     with pytest.raises(CodeConstructionError, match=message):
         LdpcCode.from_alist(p)
 
