@@ -1,6 +1,5 @@
 """Mutual information of BPSK and QPSK inputs over AWGN, computed as
-output entropy minus noise entropy, plus the distance heuristic R1/4
-for the rotation-borne stream's code rate.
+output entropy minus noise entropy.
 
 Both are sums of one 1-D rule: the bits per axis of a two-point input
 +-a in Gaussian noise of per-dimension standard deviation sigma,
@@ -43,6 +42,7 @@ class MiPoint:
 
 
 def _mi_point(esn0_db, mi):
+    esn0_db = float(esn0_db)
     ebn0 = ebn0_from_esn0(esn0_db, mi) if mi > 0 else math.inf
     return MiPoint(esn0_db, mi, ebn0)
 
@@ -341,7 +341,7 @@ def mi_grid(esn0_grid_db, modulation="bpsk"):
             at.append(len(mi))
             ds.append(d)
             los.append(lo)
-        grid.append(float(esn0_db))
+        grid.append(esn0_db)
         mi.append(bits)
     for n_panels, (at, ds, los) in rows.items():
         for start in range(0, len(at), _GRID_ROWS):
@@ -350,20 +350,4 @@ def mi_grid(esn0_grid_db, modulation="bpsk"):
             for i, h in zip(at[block], hy.ravel().tolist()):
                 mi[i] = axes * _bits(h)
     return [_mi_point(s, m) for s, m in zip(grid, mi)]
-
-
-def rate_bound_outer(r1):
-    """Distance heuristic r1/4 for the rotation-borne stream's rate.
-
-    The squared distance within a rotation pair (4 Es) is twice the one
-    across pairs (2 Es); from that geometry the rule of thumb keeps the
-    outer rate below a quarter of the inner rate. It is not an
-    information bound: the rotation bit's level capacity
-    I(V2;Y) = C_QPSK - C_BPSK exceeds 1/8 bit from about -2.21 dB Es/N0
-    and tends to 1 bit as Es/N0 grows, so capacity does not exclude an
-    outer rate above r1/4.
-    """
-    if not 0.0 < r1 <= 1.0:
-        raise ValueError("r1 must lie in (0, 1]")
-    return r1 / 4.0
 

@@ -112,15 +112,9 @@ class SystemConfig:
                 f"inner code length {self.inner.n_code} != outer encoded length "
                 f"{self.outer.n_code}; one bit of each stream rides on every symbol"
             )
-        for name, label, requirement, ok in _FIELD_RULES:
-            if not ok(getattr(self, name)):
-                raise ConfigError(f"{label} must be {requirement}")
-        grid = self.esn0_grid_db
-        _expect(isinstance(grid, (list, tuple)), f"esn0_grid_db must be a list or tuple, got {type(grid).__name__}")
-        _expect(grid, "esn0_grid_db must be non-empty")
-        _expect(len(grid) <= MAX_GRID_POINTS, f"esn0_grid_db has {len(grid)} points, more than {MAX_GRID_POINTS}")
-        grid = tuple(_check_esn0(v, "esn0_grid_db entry", frame=True) for v in grid)
-        object.__setattr__(self, "esn0_grid_db", grid)
+        scalars = {name: getattr(self, name) for name, *_ in _FIELD_RULES}
+        checked = check_fields(esn0_grid_db=self.esn0_grid_db, **scalars)
+        object.__setattr__(self, "esn0_grid_db", checked["esn0_grid_db"])
 
     @property
     def r1(self):
@@ -133,6 +127,22 @@ class SystemConfig:
     @property
     def eta(self):
         return self.r1 + self.r2
+
+
+def check_fields(**fields):
+    """The SystemConfig fields given, checked by the rules of SystemConfig
+    before any code is built: each scalar by its row of _FIELD_RULES, the
+    grid as a list or tuple of frame Es/N0 values, returned as floats."""
+    for name, label, requirement, ok in _FIELD_RULES:
+        if name in fields and not ok(fields[name]):
+            raise ConfigError(f"{label} must be {requirement}")
+    if "esn0_grid_db" in fields:
+        grid = fields["esn0_grid_db"]
+        _expect(isinstance(grid, (list, tuple)), f"esn0_grid_db must be a list or tuple, got {type(grid).__name__}")
+        _expect(grid, "esn0_grid_db must be non-empty")
+        _expect(len(grid) <= MAX_GRID_POINTS, f"esn0_grid_db has {len(grid)} points, more than {MAX_GRID_POINTS}")
+        fields["esn0_grid_db"] = tuple(_check_esn0(v, "esn0_grid_db entry", frame=True) for v in grid)
+    return fields
 
 
 def _expect(cond, msg):
@@ -169,8 +179,8 @@ def _build_code(entry, base_dir, where):
 
 def load_config(path):
     """SystemConfig from a JSON document; every field of the dataclass
-    is overridable and validation errors name the offending field.
-    Values outside the code entries are checked by SystemConfig."""
+    is overridable and validation errors name the offending field. Every
+    value outside the code entries is checked before either code is built."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -183,19 +193,18 @@ def load_config(path):
     except RecursionError:
         raise ConfigError(f"config {path} nests too deeply to parse")
     _object(data, "config", _ROOT_KEYS, _REQUIRED)
-    base_dir = path.resolve().parent
-
-    inner = _build_code(data["inner_code"], base_dir, "inner_code")
+    fields = {}
+    for section, keys in _LAYOUT.items():
+        obj = _object(data.get(section, {}), section, keys) if section else data
+        fields.update((keys[k], obj[k]) for k in keys.keys() & obj.keys())
+    fields = check_fields(esn0_grid_db=data["esn0_grid_db"], **fields)
     oc = _object(data["outer_code"], "outer_code", ("base", "rep_factor"), ("base",))
     rep = oc.get("rep_factor", 1)
     _expect(_is_int(rep) and rep >= 1, "outer_code.rep_factor must be an integer >= 1")
+    base_dir = path.resolve().parent
+    inner = _build_code(data["inner_code"], base_dir, "inner_code")
     outer = RepetitionCode(_build_code(oc["base"], base_dir, "outer_code.base"), rep)
-
-    kwargs = {}
-    for section, keys in _LAYOUT.items():
-        obj = _object(data.get(section, {}), section, keys) if section else data
-        kwargs.update((keys[k], obj[k]) for k in keys.keys() & obj.keys())
-    return SystemConfig(inner=inner, outer=outer, esn0_grid_db=data["esn0_grid_db"], **kwargs)
+    return SystemConfig(inner=inner, outer=outer, **fields)
 
 
 def config_to_dict(cfg):

@@ -52,8 +52,9 @@ def _outer_d2(y):
     length-2 axis, as y - 0 is y and y - (-1) is y + 1 in IEEE arithmetic."""
     y = np.asarray(y, dtype=np.float64)
     y0, y1 = y[..., 0], y[..., 1]
-    sq0, sq1 = y0**2, y1**2
-    return (y0 - 1.0) ** 2 + sq1, sq0 + (y1 - 1.0) ** 2, (y0 + 1.0) ** 2 + sq1, sq0 + (y1 + 1.0) ** 2
+    sq = np.square  # not **: a numpy scalar's ** calls libm pow, which can misround by one ulp
+    sq0, sq1 = sq(y0), sq(y1)
+    return sq(y0 - 1.0) + sq1, sq0 + sq(y1 - 1.0), sq(y0 + 1.0) + sq1, sq0 + sq(y1 + 1.0)
 
 
 def demap_outer_hard(y):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from dmmsim.capacity import (
     mi_bpsk,
     mi_grid,
     mi_qpsk,
-    rate_bound_outer,
 )
 from dmmsim.config import MAX_GRID_POINTS
 from dmmsim.results import write_mi_csv
@@ -335,6 +335,14 @@ def test_mi_grid_takes_numpy_values_below_the_variance_overflow(modulation):
     assert mi_bpsk(np.float64(-4000.0)).mi_bits == mi_qpsk(np.float64(-4000.0)).mi_bits == 0.0
 
 
+@pytest.mark.parametrize("fn, modulation, esn0_db", [(mi_bpsk, "bpsk", np.float64(3.0)), (mi_qpsk, "qpsk", 3)])
+def test_mi_functions_return_one_point_form(fn, modulation, esn0_db):
+    # Python floats from each function, whatever the number type of the input
+    p = fn(esn0_db)
+    assert [p] == mi_grid([esn0_db], modulation) == mi_grid([3.0], modulation)
+    assert [type(v) for v in astuple(p)] == [float, float, float]
+
+
 def test_mi_grid_peak_memory_is_bounded():
     # A grid of MAX_GRID_POINTS values holds its MiPoints (1.2 MiB) and a
     # few floats per point, and evaluates by blocks of at most 64 rows of
@@ -421,16 +429,6 @@ def test_esn0_at_mi_validation():
         esn0_at_mi(1.0, "bpsk")
     with pytest.raises(ValueError):
         esn0_at_mi(0.5, "8psk")
-
-
-def test_rate_bound_outer():
-    assert rate_bound_outer(0.5) == 0.125
-    assert rate_bound_outer(1.0) == 0.25
-    assert 1 / 12 < rate_bound_outer(0.5)
-    with pytest.raises(ValueError):
-        rate_bound_outer(0.0)
-    with pytest.raises(ValueError):
-        rate_bound_outer(1.2)
 
 
 def test_write_mi_csv_deterministic(tmp_path):

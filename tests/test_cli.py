@@ -275,6 +275,18 @@ def test_grid_above_cap_rejected_before_any_frame(cfg_path, tmp_path, capsys, mo
     assert not (tmp_path / "out" / "dmm_sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, needle",
+    [("--grid=abc", "non-numeric"), ("--grid=1:0:1", "stop must be >= start"), ("--seed=-1", "seed must be")],
+    ids=["grid-abc", "grid-reversed", "seed-below-0"],
+)
+@pytest.mark.parametrize("command", ["ber-sweep", "genie-compare"])
+def test_bad_flag_refused_before_any_code_is_built(cfg_path, tmp_path, capsys, no_code_construction, command, flag, needle):
+    assert main([command, str(cfg_path), flag, "--out-dir", str(tmp_path / "out")]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ber_sweep_baseline_mode(cfg_path, tmp_path):
     out = tmp_path / "base"
     rc = main(["ber-sweep", str(cfg_path), "--baseline", "bpsk", "--out-dir", str(out)])
@@ -446,8 +458,9 @@ def test_rate_bound_output(capsys):
 
 
 def test_rate_bound_range_errors(capsys):
-    assert main(["rate-bound", "1.0"]) == 2
-    assert "r1" in capsys.readouterr().err
+    for r1 in ("0.0", "1.0", "1.2"):
+        assert main(["rate-bound", r1]) == 2
+        assert "r1" in capsys.readouterr().err
     assert main(["rate-bound", "0.5", "--r2", "1.5"]) == 2
     assert "r2" in capsys.readouterr().err
 

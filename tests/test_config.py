@@ -3,6 +3,7 @@ scalar field, and the frame floor guards every Es/N0 a frame runs at."""
 
 import json
 import math
+import re
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -163,10 +164,22 @@ def test_system_config_refuses_what_it_cannot_run(case):
         small_config(**{field: value(small_config())})
 
 
-def test_grid_object_in_a_config_file_is_refused(tmp_path):
+# documents refused by a rule that needs no code: (the entries that differ from a valid one, the refusal)
+BAD_DOCUMENTS = {
+    "grid-is-an-object": ({"esn0_grid_db": {"0.5": "x"}}, "esn0_grid_db must be a list or tuple, got dict"),
+    "max-iter-0": ({"max_iter": 0}, "max_iter must be an integer >= 1"),
+    "max-frames-0": ({"stop": {"max_frames": 0}}, "stop.max_frames must be an integer in"),
+    "seed-below-0": ({"seed": -1}, "seed must be an integer in"),
+    "unknown-stop-key": ({"stop": {"frames": 8}}, "unknown stop fields: ['frames']"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENTS)
+def test_bad_document_refused_before_any_code_is_built(tmp_path, no_code_construction, case):
+    changes, message = BAD_DOCUMENTS[case]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**CODES, "esn0_grid_db": {"0.5": "x"}}))
-    with pytest.raises(ConfigError, match="esn0_grid_db must be a list or tuple, got dict"):
+    path.write_text(json.dumps({**CODES, "esn0_grid_db": [0.0], **changes}))
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
 
 

@@ -111,3 +111,10 @@ def test_capacity_routes_each_value_in_one_function():
 )
 def test_no_import_from_a_layer_above(module, above):
     assert not package_imports(module) & above
+
+
+def test_capacity_holds_information_measures_only():
+    # the R1/4 rule of thumb is no information measure; it lives in the CLI's rate-bound
+    tree = ast.parse((SRC / "capacity.py").read_text())
+    public = sorted(f.name for f in tree.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+    assert public == ["esn0_at_mi", "mi_bpsk", "mi_grid", "mi_qpsk"]
