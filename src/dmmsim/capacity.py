@@ -13,17 +13,19 @@ enters.
 ``_route`` decides each Es/N0 value once: the full bits below the
 noiseless threshold of ``noise_var``, 0 below a floor, a series in
 (a/sigma)^2 at low Es/N0, and elsewhere the row of quadrature nodes
-that ``_hy_rows`` evaluates. ``mi_bpsk`` and ``mi_qpsk`` evaluate that
-row on its own; ``mi_grid`` groups a whole grid's rows by panel count
-and evaluates them in blocks, bit for bit the per-point values, and
-calls neither function. So a wrapper set on ``mi_bpsk`` or ``mi_qpsk``
-sees the evaluations of ``esn0_at_mi`` only.
+that ``_hy_rows`` evaluates and ``_bits`` clamps. ``mi_bpsk`` and
+``mi_qpsk`` evaluate that row on its own; ``mi_grid`` groups a whole
+grid's rows by panel count and evaluates and clamps them in blocks, bit
+for bit the per-point values, and calls neither function. So a wrapper
+set on ``mi_bpsk`` or ``mi_qpsk`` sees the evaluations of ``esn0_at_mi``
+only.
 
 ``esn0_at_mi`` finds its root with ``_brentq``, a port of SciPy's
 ``brentq`` that gives the same roots bit for bit, so no module of the
 package imports SciPy.
 """
 
+import collections
 import functools
 import math
 import sys
@@ -136,17 +138,34 @@ def _hy_rows(d, lo, n_panels):
     take n_panels panels. Each value is one row of 16 n_panels nodes,
     summed by ``np.vecdot``: the same BLAS dot per row in a block of any
     height, so a value reads the same bits in a grid as on its own.
-    Returns an (n, 1) column, or a 1-element array for floats."""
+    Returns an (n, 1) column, or a 1-element array for floats.
+
+    The rows are formed in two buffers, z and f, updated in place. Each
+    step is the operation, on the same operands and in the same order,
+    that evaluating (exp(-z^2/2) + exp(-(z + 2d)^2/2)) / (2 sqrt(2 pi))
+    and f log2 f with a fresh array per step would take, so every value
+    has the same bits, without the temporaries."""
     width = (12.0 - lo) / n_panels
     u, w = _unit_panels(n_panels)
-    z = lo + width * u
-    f = (np.exp(-0.5 * z * z) + np.exp(-0.5 * (z + 2.0 * d) ** 2)) / (2.0 * math.sqrt(2.0 * math.pi))
-    return -2.0 * width * np.vecdot(f * np.log2(f), w, keepdims=True)
+    z = width * u
+    z += lo
+    f = z * -0.5
+    f *= z
+    np.exp(f, out=f)
+    z += 2.0 * d
+    np.square(z, out=z)
+    z *= -0.5
+    f += np.exp(z, out=z)
+    f /= 2.0 * math.sqrt(2.0 * math.pi)
+    np.log2(f, out=z)
+    z *= f
+    return -2.0 * width * np.vecdot(z, w, keepdims=True)
 
 
 def _bits(hy):
-    """Bits per axis from H(Y) - log2(sigma), kept within [0, 1]."""
-    return min(max(hy - _H_UNIT_NORMAL, 0.0), 1.0)
+    """Bits per axis from a column of H(Y) - log2(sigma), each kept
+    within [0, 1]."""
+    return (hy - _H_UNIT_NORMAL).clip(0.0, 1.0)
 
 
 def _mi_at(esn0_db, modulation):
@@ -154,7 +173,7 @@ def _mi_at(esn0_db, modulation):
     axes, d_of = _MODULATIONS[modulation]
     mi, row = _route(esn0_db, axes, d_of)
     if row is not None:
-        mi = axes * _bits(float(_hy_rows(*row)[0]))
+        mi = axes * _bits(_hy_rows(*row)).item()
     return _mi_point(esn0_db, mi)
 
 
@@ -322,7 +341,7 @@ def mi_grid(esn0_grid_db, modulation="bpsk"):
     """MiPoint per grid value, in grid order: bit for bit ``mi_bpsk`` or
     ``mi_qpsk`` at each value, the same ``_route`` taken, but with the
     rows grouped by panel count and evaluated in blocks of at most
-    _GRID_ROWS rows.
+    _GRID_ROWS rows, each block clamped by one ``_bits``.
 
     Raises:
         ValueError: if the modulation is unknown or any value is NaN,
@@ -332,12 +351,13 @@ def mi_grid(esn0_grid_db, modulation="bpsk"):
     """
     axes, d_of = _modulation(modulation)
     grid, mi = [], []
-    rows = {}  # panel count -> ([grid index, ...], [d, ...], [lo, ...])
+    # panel count -> ([grid index, ...], [d, ...], [lo, ...])
+    rows = collections.defaultdict(lambda: ([], [], []))
     for esn0_db in esn0_grid_db:
         bits, row = _route(esn0_db, axes, d_of)
         if row is not None:
             d, lo, n_panels = row
-            at, ds, los = rows.setdefault(n_panels, ([], [], []))
+            at, ds, los = rows[n_panels]
             at.append(len(mi))
             ds.append(d)
             los.append(lo)
@@ -347,7 +367,7 @@ def mi_grid(esn0_grid_db, modulation="bpsk"):
         for start in range(0, len(at), _GRID_ROWS):
             block = slice(start, start + _GRID_ROWS)
             hy = _hy_rows(np.array(ds[block])[:, None], np.array(los[block])[:, None], n_panels)
-            for i, h in zip(at[block], hy.ravel().tolist()):
-                mi[i] = axes * _bits(h)
+            for i, m in zip(at[block], (axes * _bits(hy)).ravel().tolist()):
+                mi[i] = m
     return [_mi_point(s, m) for s, m in zip(grid, mi)]
 

@@ -159,20 +159,33 @@ def _object(obj, where, allowed, required=()):
     return obj
 
 
-def _build_code(entry, base_dir, where):
-    """The LdpcCode of a code entry: an alist file, its path relative to
-    the config file's directory, or the seeded regular construction."""
+# the keys of a code entry for the seeded regular construction, in its argument order
+_REGULAR_KEYS = ("n", "row_degree", "col_degree", "seed")
+
+
+def _check_code(entry, where):
+    """Refuse a code entry that no constructor could take: it holds an
+    alist path string, or the four non-negative integers of the seeded
+    regular construction, and nothing else."""
     alist = isinstance(entry, dict) and "alist" in entry
-    keys = ("alist",) if alist else ("n", "row_degree", "col_degree", "seed")
+    keys = ("alist",) if alist else _REGULAR_KEYS
     _object(entry, where, keys, keys)
-    try:
-        if alist:
-            where += ".alist"
-            _expect(isinstance(entry["alist"], str), f"{where} must be a path string")
-            return LdpcCode.from_alist(base_dir / entry["alist"])
+    if alist:
+        _expect(isinstance(entry["alist"], str), f"{where}.alist must be a path string")
+    else:
         for k in keys:
             _expect(_is_int(entry[k]) and entry[k] >= 0, f"{where}.{k} must be a non-negative integer")
-        return LdpcCode.random_regular(*(entry[k] for k in keys))
+
+
+def _build_code(entry, base_dir, where):
+    """The LdpcCode of a code entry that _check_code passed: an alist
+    file, its path relative to the config file's directory, or the
+    seeded regular construction."""
+    try:
+        if "alist" in entry:
+            where += ".alist"
+            return LdpcCode.from_alist(base_dir / entry["alist"])
+        return LdpcCode.random_regular(*(entry[k] for k in _REGULAR_KEYS))
     except CodeConstructionError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -180,7 +193,7 @@ def _build_code(entry, base_dir, where):
 def load_config(path):
     """SystemConfig from a JSON document; every field of the dataclass
     is overridable and validation errors name the offending field. Every
-    value outside the code entries is checked before either code is built."""
+    value, the code entries included, is checked before either code is built."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -201,6 +214,8 @@ def load_config(path):
     oc = _object(data["outer_code"], "outer_code", ("base", "rep_factor"), ("base",))
     rep = oc.get("rep_factor", 1)
     _expect(_is_int(rep) and rep >= 1, "outer_code.rep_factor must be an integer >= 1")
+    _check_code(data["inner_code"], "inner_code")
+    _check_code(oc["base"], "outer_code.base")
     base_dir = path.resolve().parent
     inner = _build_code(data["inner_code"], base_dir, "inner_code")
     outer = RepetitionCode(_build_code(oc["base"], base_dir, "outer_code.base"), rep)

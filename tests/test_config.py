@@ -171,6 +171,18 @@ BAD_DOCUMENTS = {
     "max-frames-0": ({"stop": {"max_frames": 0}}, "stop.max_frames must be an integer in"),
     "seed-below-0": ({"seed": -1}, "seed must be an integer in"),
     "unknown-stop-key": ({"stop": {"frames": 8}}, "unknown stop fields: ['frames']"),
+    # a valid inner entry beside a malformed outer base: neither code is built
+    "outer-base-missing-fields": (
+        {"outer_code": {"base": {"n": 1008}, "rep_factor": 4}},
+        "missing outer_code.base fields: ['col_degree', 'row_degree', 'seed']",
+    ),
+    "unknown-inner-key": ({"inner_code": {**CODES["inner_code"], "girth": 6}}, "unknown inner_code fields: ['girth']"),
+    "inner-n-string": ({"inner_code": {**CODES["inner_code"], "n": "96"}}, "inner_code.n must be a non-negative integer"),
+    "outer-base-alist-not-string": (
+        {"outer_code": {"base": {"alist": 5}, "rep_factor": 4}},
+        "outer_code.base.alist must be a path string",
+    ),
+    "outer-base-not-object": ({"outer_code": {"base": [24], "rep_factor": 4}}, "outer_code.base must be an object"),
 }
 
 
